@@ -67,9 +67,12 @@ def _cmd_reduce(args) -> int:
     else:
         reduced, report = eliminate_ntris(c, table)
     if args.report:
-        Path(args.report).write_text(
-            json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        try:
+            Path(args.report).write_text(
+                json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"
+            )
+        except OSError as e:
+            raise CliError(f"cannot write {args.report}: {e}") from e
     print(format_circuit(reduced))
     return 0
 

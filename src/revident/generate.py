@@ -17,8 +17,8 @@ from .circuit import Circuit, Gate
 from .semantics import (
     DEFAULT_WIDTH_CAP,
     Specification,
+    _first_repeat,
     is_permutation,
-    prefix_trace,
     simulate,
 )
 
@@ -137,15 +137,7 @@ def synthesize_inverse(spec: Specification, width: int) -> Circuit:
 def is_interior_irreducible(c: Circuit, *, max_width: int = DEFAULT_WIDTH_CAP) -> bool:
     """True when the only equal prefix-specification pair is the pair of
     endpoints (an identity circuit the eliminator can only remove whole)."""
-    trace = prefix_trace(c, max_width=max_width)
-    m = len(trace) - 1
-    seen: dict[Specification, int] = {}
-    for i, spec in enumerate(trace):
-        j = seen.get(spec)
-        if j is not None and (j, i) != (0, m):
-            return False
-        seen.setdefault(spec, i)
-    return True
+    return _first_repeat(c, max_width) in (None, (0, len(c.gates)))
 
 
 def gen_random_ntri(cfg: GeneratorConfig) -> Circuit:

@@ -11,15 +11,23 @@ share one removal discipline:
   It walks the prefix specifications: if the prefixes ending at gates
   ``j`` and ``i`` compute the same specification, gates ``j+1..i``
   (1-based, inclusive) form an identity segment and are removed.  The
-  scan is deterministic: the end index grows 1..m, the start index is
-  tried ascending 0..end-1, the first hit is deleted, and the whole scan
-  restarts on the shortened circuit.  Prefix specifications are computed
-  lazily, so a pass stops work at its first hit.
-* ``eliminate_ntris_fast`` replaces the linear start-index scan with a
-  hash map from prefix specification to its earliest index.  Within one
-  pass all stored prefixes are distinct until the first hit, so the map
-  lookup finds exactly the pair the ascending scan would; the output
-  circuit and removal list are identical on every input.
+  paper's scan is deterministic: the end index grows 1..m, the start
+  index is tried ascending 0..end-1, the first hit is deleted, and the
+  whole scan restarts on the shortened circuit.
+  The restart is never carried out; the scan resumes instead.  At the
+  first hit ``(j, i)`` the prefixes ``0..i-1`` are pairwise distinct.
+  Deleting gates ``j+1..i`` leaves prefixes ``0..j`` unchanged, so a
+  restarted scan would find no hit among them.  The new prefix ``j+k``
+  equals the old prefix ``i+k``, so the restarted scan carries on as
+  though gate ``i+1`` followed gate ``j``.  One pass over the input gates
+  with a stack of kept prefixes, cut back to ``j`` on each hit,
+  therefore makes the same removals in the same order.  Each input gate
+  is applied once.
+* ``eliminate_ntris_fast`` runs the same pass but replaces the ascending
+  search of the stack with a dict from prefix specification to stack
+  index.  The stacked prefixes are distinct, so the lookup finds the one
+  index the ascending search would.  The output circuit, removal list
+  and report are identical on every input; only ``comparisons`` differs.
 
 Removal coordinates are local to the circuit as it stood when the
 removal happened: ``start_gap`` counts the gates kept in front and
@@ -32,7 +40,7 @@ output gate list.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .circuit import Circuit, Gate
 from .cost import DEFAULT_COST_TABLE, CostTableError, gate_cost
@@ -40,9 +48,9 @@ from .semantics import (
     DEFAULT_WIDTH_CAP,
     Specification,
     _check_width,
+    _first_repeat,
     apply_gate,
     identity_spec,
-    prefix_trace,
     simulate,
 )
 
@@ -75,8 +83,9 @@ class Removal:
 
 @dataclass(frozen=True)
 class ReductionReport:
-    """What a reduction did.  ``passes`` counts restarts of the outer
-    scan, including the final pass that found nothing.  Cost and
+    """What a reduction did.  ``passes`` counts the passes of the paper's
+    restarting scan, including the final one that found nothing: one more
+    than the number of removals.  Cost and
     specification fields are None when the cost table has no entry for
     some gate or the width exceeds the cap.  ``comparisons`` counts
     specification equality tests and is informational only: it differs
@@ -186,58 +195,54 @@ def remove_trivial_identities(
     return _report(c, stack, 1, removals, comparisons, table, in_spec, out_spec)
 
 
-# One elimination pass: return the first (start_gap, end_index) whose
-# prefix specifications match, or None.  Both variants compute prefixes
-# lazily and stop at the first hit.
-
-def _scan_linear(gates: list[Gate], width: int, counter: list[int]) -> tuple[int, int] | None:
-    spec = identity_spec(width)
-    prefixes = [spec]
-    for i, g in enumerate(gates, start=1):
-        spec = apply_gate(spec, g, width)
-        for j, earlier in enumerate(prefixes):
-            counter[0] += 1
-            if earlier == spec:
-                return j, i
-        prefixes.append(spec)
-    return None
-
-
-def _scan_hashed(gates: list[Gate], width: int, counter: list[int]) -> tuple[int, int] | None:
-    spec = identity_spec(width)
-    earliest: dict[Specification, int] = {spec: 0}
-    for i, g in enumerate(gates, start=1):
-        spec = apply_gate(spec, g, width)
-        counter[0] += 1
-        j = earliest.get(spec)
-        if j is not None:
-            return j, i
-        earliest[spec] = i
-    return None
-
-
 def _eliminate(
-    c: Circuit,
-    table: Mapping[int, int],
-    max_width: int,
-    scan: Callable[[list[Gate], int, list[int]], "tuple[int, int] | None"],
+    c: Circuit, table: Mapping[int, int], max_width: int, hashed: bool
 ) -> tuple[Circuit, ReductionReport]:
+    """The one elimination engine: a single pass over the input gates.
+
+    ``kept`` is a stack of the gates kept so far and ``prefixes[k]`` the
+    specification of ``kept[:k]``; the prefixes are pairwise distinct.
+    A hit of the next gate's prefix against ``prefixes[j]`` is the hit a
+    restarted scan would find first, and the stack is cut back to ``j``,
+    which is where that restarted scan would carry on.  ``hashed``
+    finds ``j`` through ``index``, a dict that mirrors ``prefixes``;
+    otherwise the stack is searched in ascending order.
+    """
     _check_width(c.width, max_width)
-    gates = list(c.gates)
+    spec = identity_spec(c.width)
+    kept: list[Gate] = []
+    prefixes = [spec]
+    index: dict[Specification, int] = {spec: 0}  # kept up to date only if hashed
     removals: list[Removal] = []
-    counter = [0]
-    passes = 0
-    while True:
-        passes += 1
-        hit = scan(gates, c.width, counter)
-        if hit is None:
-            break
-        j, i = hit
-        removals.append(Removal(j, i, i - j, _maybe_cost(gates[j:i], table)))
-        del gates[j:i]
-    in_spec = simulate(c, max_width=max_width)
-    out_spec = simulate(Circuit(c.width, tuple(gates)), max_width=max_width)
-    return _report(c, gates, passes, removals, counter[0], table, in_spec, out_spec)
+    comparisons = 0
+    for g in c.gates:
+        spec = apply_gate(prefixes[-1], g, c.width)
+        if hashed:
+            comparisons += 1
+            j = index.get(spec)
+        else:
+            try:
+                j = prefixes.index(spec)
+                comparisons += j + 1
+            except ValueError:
+                j = None
+                comparisons += len(prefixes)
+        if j is None:
+            kept.append(g)
+            prefixes.append(spec)
+            if hashed:
+                index[spec] = len(kept)
+            continue
+        i = len(kept) + 1
+        removals.append(Removal(j, i, i - j, _maybe_cost(kept[j:] + [g], table)))
+        if hashed:
+            for dropped in prefixes[j + 1:]:
+                del index[dropped]
+        del kept[j:], prefixes[j + 1:]
+    # Every removal deletes an identity, so input and output compute the
+    # specification on top of the stack.
+    spec = prefixes[-1]
+    return _report(c, kept, len(removals) + 1, removals, comparisons, table, spec, spec)
 
 
 def eliminate_ntris(
@@ -246,13 +251,15 @@ def eliminate_ntris(
     *,
     max_width: int = DEFAULT_WIDTH_CAP,
 ) -> tuple[Circuit, ReductionReport]:
-    """Remove every identity segment, restarting after each removal.
+    """Remove every identity segment, in the paper's order.
 
     The output computes the same specification as the input and is
-    irreducible: no two of its prefix specifications are equal.  Runs in
-    O(m**2) passes of O(m**2) specification comparisons worst case; each
-    comparison is O(2**width)."""
-    return _eliminate(c, table, max_width, _scan_linear)
+    irreducible: no two of its prefix specifications are equal.  Each
+    input gate is applied once, and its prefix is compared with the
+    kept prefixes in ascending order, so a circuit of m gates takes m
+    gate applications and at most m*(m+1)/2 specification comparisons;
+    each costs O(2**width)."""
+    return _eliminate(c, table, max_width, hashed=False)
 
 
 def eliminate_ntris_fast(
@@ -262,17 +269,13 @@ def eliminate_ntris_fast(
     max_width: int = DEFAULT_WIDTH_CAP,
 ) -> tuple[Circuit, ReductionReport]:
     """Same result as ``eliminate_ntris`` (same circuit, same removal
-    list, same pass count), with each pass running in O(m) expected
-    specification hashes instead of O(m**2) comparisons."""
-    return _eliminate(c, table, max_width, _scan_hashed)
+    list, same pass count), finding the earlier equal prefix by one dict
+    lookup per input gate instead of an ascending search: m gate
+    applications and O(m) expected specification hashes."""
+    return _eliminate(c, table, max_width, hashed=True)
 
 
 def is_irreducible(c: Circuit, *, max_width: int = DEFAULT_WIDTH_CAP) -> bool:
     """True when no two prefix specifications coincide, i.e. the
     eliminators would leave ``c`` unchanged."""
-    seen: set[Specification] = set()
-    for spec in prefix_trace(c, max_width=max_width):
-        if spec in seen:
-            return False
-        seen.add(spec)
-    return True
+    return _first_repeat(c, max_width) is None

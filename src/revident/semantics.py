@@ -119,6 +119,21 @@ def prefix_trace(c: Circuit, *, max_width: int = DEFAULT_WIDTH_CAP) -> tuple[Spe
     return tuple(trace)
 
 
+def _first_repeat(c: Circuit, max_width: int) -> "tuple[int, int] | None":
+    """The first pair ``(j, i)``, ``j < i``, of equal prefix specifications,
+    smallest ``i`` first, or None when all ``len(c) + 1`` prefixes are
+    distinct.  Prefixes are computed lazily, so the scan stops at the hit."""
+    _check_width(c.width, max_width)
+    spec = identity_spec(c.width)
+    earliest = {spec: 0}
+    for i, g in enumerate(c.gates, start=1):
+        spec = apply_gate(spec, g, c.width)
+        j = earliest.setdefault(spec, i)
+        if j != i:
+            return j, i
+    return None
+
+
 def is_identity(c: Circuit, *, max_width: int = DEFAULT_WIDTH_CAP) -> bool:
     return simulate(c, max_width=max_width) == identity_spec(c.width)
 

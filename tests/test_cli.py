@@ -58,6 +58,14 @@ def test_reduce_with_report(rev, capsys, tmp_path):
     assert data["passes"] == 3
 
 
+@pytest.mark.parametrize("target", ["missing/r.json", "."], ids=["no-such-dir", "a-directory"])
+def test_reduce_report_unwritable(rev, capsys, tmp_path, target):
+    path = rev("c.rev", "NOT(a) NOT(a)")
+    assert main(["reduce", path, "--report", str(tmp_path / target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and "Traceback" not in err
+
+
 def test_reduce_trivial_only(rev, capsys):
     path = rev("c.rev", "NOT(a) NOT(a) CNOT(a, b)")
     assert main(["reduce", path, "--trivial-only"]) == 0

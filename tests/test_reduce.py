@@ -24,7 +24,7 @@ from revident import (
 )
 from revident.bench import surviving_indices
 
-from helpers import random_circuit
+from helpers import eliminate_reference, late_hit_circuit, random_circuit
 
 GOLDEN = "wires: a b c\nCNOT(b, a) TOF(a, b, c) CNOT(c, b) CNOT(c, b) TOF(a, b, c)"
 
@@ -168,6 +168,50 @@ class TestFastVariant:
         _, fast = eliminate_ntris_fast(c)
         assert slow == fast
         assert slow.comparisons >= fast.comparisons
+
+
+def _with_mirrors(rng: random.Random, c: Circuit) -> Circuit:
+    """Splice mirrored copies of random spans into ``c``: each is an
+    identity that telescopes, so hits nest inside one another."""
+    gates = list(c.gates)
+    for _ in range(rng.randint(1, 3)):
+        lo = rng.randint(0, len(gates))
+        span = gates[lo:lo + rng.randint(1, 8)]
+        at = rng.randint(0, len(gates))
+        gates[at:at] = span + span[::-1]
+    return Circuit(c.width, tuple(gates))
+
+
+def _reference_cases():
+    rng = random.Random(4242)
+    for n in range(140):
+        c = random_circuit(rng, n % 7 + 1, rng.randint(0, 40))
+        yield _with_mirrors(rng, c) if n % 2 else c
+    for n in range(12):
+        yield late_hit_circuit(rng, 3 + n % 4, rng.randint(10, 40), rng.randint(1, 4), 6)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("eliminate", [eliminate_ntris, eliminate_ntris_fast])
+    def test_matches_restarting_scan(self, eliminate):
+        for c in _reference_cases():
+            ref_out, ref = eliminate_reference(c)
+            out, report = eliminate(c)
+            assert out == ref_out
+            assert report.removals == ref.removals
+            assert report.passes == ref.passes
+            assert report.input_spec == ref.input_spec
+            assert report.output_spec == ref.output_spec
+            assert report == ref
+
+    def test_lookups_linear_in_input_gates(self):
+        c = late_hit_circuit(random.Random(77), 6, 120, 4, 8)
+        m = len(c.gates)
+        _, fast = eliminate_ntris_fast(c)
+        _, slow = eliminate_ntris(c)
+        assert fast.passes == 5
+        assert fast.comparisons == m
+        assert fast.comparisons < slow.comparisons <= m * (m + 1) // 2
 
 
 class TestReport:
