@@ -19,7 +19,6 @@ fail a row.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .circuit import Circuit, insert_segment
@@ -239,9 +238,6 @@ class BenchReport:
                     }
                 )
         return {"suite": self.suite, "passed": self.passed, "rows": rows}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def _gc(c: Circuit) -> GC:

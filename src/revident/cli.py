@@ -1,14 +1,16 @@
 """Command line interface.
 
 Exit codes: 0 on success, 1 when a check fails (equiv mismatch, bench
-row failure), 2 on bad input (parse errors, missing files, bad
-arguments).
+row failure) or stdout is closed before the output is written (a broken
+pipe, as in ``revident gen-random ... | head``), 2 on bad input (parse
+errors, missing files, bad arguments).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -16,7 +18,7 @@ from . import bench as bench_mod
 from .circuit import ParseError, WidthMismatchError, concat, format_circuit, insert_segment, parse_circuit
 from .cost import CostTableError, DEFAULT_COST_TABLE, circuit_cost, gate_count, load_cost_table
 from .generate import GeneratorConfig, GeneratorError, gen_random_circuit, gen_random_ntri
-from .reduce import eliminate_ntris, eliminate_ntris_fast, remove_trivial_identities
+from .reduce import eliminate_ntris, remove_trivial_identities
 from .semantics import WidthCapExceeded, equivalent, format_spec, simulate
 
 
@@ -62,8 +64,6 @@ def _cmd_reduce(args) -> int:
     table = _cost_table(args.cost_table)
     if args.trivial_only:
         reduced, report = remove_trivial_identities(c, table)
-    elif args.fast:
-        reduced, report = eliminate_ntris_fast(c, table)
     else:
         reduced, report = eliminate_ntris(c, table)
     if args.report:
@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("reduce", help="remove identity segments, print the result")
     s.add_argument("file")
     s.add_argument("--trivial-only", action="store_true", help="only cancel adjacent equal pairs")
-    s.add_argument("--fast", action="store_true", help="hash-assisted scan (same output)")
+    s.add_argument("--fast", action="store_true", help="kept for compatibility; same output as without it")
     s.add_argument("--report", metavar="JSON", help="write a reduction report to this file")
     s.add_argument("--cost-table")
     s.set_defaults(func=_cmd_reduce)
@@ -206,11 +206,31 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at os.devnull, so that the flush at
+    interpreter exit does not hit the broken pipe again.  A stdout with no
+    file descriptor (an in-memory capture) has no pipe to break."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # A pipe closed before a short output is flushed must fail here,
+        # inside the handler, not at interpreter exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _discard_stdout()
+        return 1
     except (CliError, WidthMismatchError, WidthCapExceeded, CostTableError,
             GeneratorError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

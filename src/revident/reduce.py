@@ -21,13 +21,12 @@ share one removal discipline:
   equals the old prefix ``i+k``, so the restarted scan carries on as
   though gate ``i+1`` followed gate ``j``.  One pass over the input gates
   with a stack of kept prefixes, cut back to ``j`` on each hit,
-  therefore makes the same removals in the same order.  Each input gate
-  is applied once.
-* ``eliminate_ntris_fast`` runs the same pass but replaces the ascending
-  search of the stack with a dict from prefix specification to stack
-  index.  The stacked prefixes are distinct, so the lookup finds the one
-  index the ascending search would.  The output circuit, removal list
-  and report are identical on every input; only ``comparisons`` differs.
+  therefore makes the same removals in the same order.  The stacked
+  prefixes are distinct, so a dict from prefix specification to stack
+  index finds the one ``j`` the paper's ascending search would: each
+  input gate costs one gate application and one lookup.  The paper's
+  restarting scan is kept as the test oracle.
+* ``eliminate_ntris_fast`` is another name for ``eliminate_ntris``.
 
 Removal coordinates are local to the circuit as it stood when the
 removal happened: ``start_gap`` counts the gates kept in front and
@@ -88,9 +87,10 @@ class ReductionReport:
     than the number of removals.  Cost and
     specification fields are None when the cost table has no entry for
     some gate or the width exceeds the cap.  ``comparisons`` counts
-    specification equality tests and is informational only: it differs
-    between the faithful and fast variants and never takes part in
-    equality."""
+    equality tests: one prefix lookup per input gate for
+    ``eliminate_ntris``, one gate comparison per gate that meets a
+    non-empty stack for ``remove_trivial_identities``.  It is
+    informational only and never takes part in equality."""
 
     passes: int
     removals: tuple[Removal, ...]
@@ -171,7 +171,8 @@ def remove_trivial_identities(
     Deleting a pair can make its neighbours adjacent; the stack scan
     handles that in one linear sweep, and the result does not depend on
     deletion order.  Specifications are filled in only when the width
-    fits the cap: this pass itself never simulates.
+    fits the cap; cancelling pairs keeps the specification, so the input
+    is simulated once and the output shares its specification.
     """
     stack: list[Gate] = []
     removals: list[Removal] = []
@@ -185,64 +186,8 @@ def remove_trivial_identities(
             stack.pop()
         else:
             stack.append(g)
-    if c.width <= max_width:
-        in_spec: Specification | None = simulate(c, max_width=max_width)
-        out_spec: Specification | None = simulate(
-            Circuit(c.width, tuple(stack)), max_width=max_width
-        )
-    else:
-        in_spec = out_spec = None
-    return _report(c, stack, 1, removals, comparisons, table, in_spec, out_spec)
-
-
-def _eliminate(
-    c: Circuit, table: Mapping[int, int], max_width: int, hashed: bool
-) -> tuple[Circuit, ReductionReport]:
-    """The one elimination engine: a single pass over the input gates.
-
-    ``kept`` is a stack of the gates kept so far and ``prefixes[k]`` the
-    specification of ``kept[:k]``; the prefixes are pairwise distinct.
-    A hit of the next gate's prefix against ``prefixes[j]`` is the hit a
-    restarted scan would find first, and the stack is cut back to ``j``,
-    which is where that restarted scan would carry on.  ``hashed``
-    finds ``j`` through ``index``, a dict that mirrors ``prefixes``;
-    otherwise the stack is searched in ascending order.
-    """
-    _check_width(c.width, max_width)
-    spec = identity_spec(c.width)
-    kept: list[Gate] = []
-    prefixes = [spec]
-    index: dict[Specification, int] = {spec: 0}  # kept up to date only if hashed
-    removals: list[Removal] = []
-    comparisons = 0
-    for g in c.gates:
-        spec = apply_gate(prefixes[-1], g, c.width)
-        if hashed:
-            comparisons += 1
-            j = index.get(spec)
-        else:
-            try:
-                j = prefixes.index(spec)
-                comparisons += j + 1
-            except ValueError:
-                j = None
-                comparisons += len(prefixes)
-        if j is None:
-            kept.append(g)
-            prefixes.append(spec)
-            if hashed:
-                index[spec] = len(kept)
-            continue
-        i = len(kept) + 1
-        removals.append(Removal(j, i, i - j, _maybe_cost(kept[j:] + [g], table)))
-        if hashed:
-            for dropped in prefixes[j + 1:]:
-                del index[dropped]
-        del kept[j:], prefixes[j + 1:]
-    # Every removal deletes an identity, so input and output compute the
-    # specification on top of the stack.
-    spec = prefixes[-1]
-    return _report(c, kept, len(removals) + 1, removals, comparisons, table, spec, spec)
+    spec = simulate(c, max_width=max_width) if c.width <= max_width else None
+    return _report(c, stack, 1, removals, comparisons, table, spec, spec)
 
 
 def eliminate_ntris(
@@ -254,25 +199,42 @@ def eliminate_ntris(
     """Remove every identity segment, in the paper's order.
 
     The output computes the same specification as the input and is
-    irreducible: no two of its prefix specifications are equal.  Each
-    input gate is applied once, and its prefix is compared with the
-    kept prefixes in ascending order, so a circuit of m gates takes m
-    gate applications and at most m*(m+1)/2 specification comparisons;
-    each costs O(2**width)."""
-    return _eliminate(c, table, max_width, hashed=False)
+    irreducible: no two of its prefix specifications are equal.  One pass
+    over the input gates keeps ``kept``, a stack of the gates kept so
+    far, ``prefixes[k]``, the specification of ``kept[:k]``, and
+    ``index``, a dict that mirrors ``prefixes``.  A hit of the next
+    gate's prefix against ``prefixes[j]`` is the hit a restarted scan
+    would find first, and the stack is cut back to ``j``, which is where
+    that restarted scan would carry on.  A circuit of m gates takes m
+    gate applications and m dict lookups; each application and hash
+    costs O(2**width)."""
+    _check_width(c.width, max_width)
+    spec = identity_spec(c.width)
+    kept: list[Gate] = []
+    prefixes = [spec]
+    index: dict[Specification, int] = {spec: 0}
+    removals: list[Removal] = []
+    for g in c.gates:
+        spec = apply_gate(prefixes[-1], g, c.width)
+        j = index.get(spec)
+        if j is None:
+            kept.append(g)
+            prefixes.append(spec)
+            index[spec] = len(kept)
+            continue
+        i = len(kept) + 1
+        removals.append(Removal(j, i, i - j, _maybe_cost(kept[j:] + [g], table)))
+        for dropped in prefixes[j + 1:]:
+            del index[dropped]
+        del kept[j:], prefixes[j + 1:]
+    # Every removal deletes an identity, so input and output compute the
+    # specification on top of the stack.
+    spec = prefixes[-1]
+    return _report(c, kept, len(removals) + 1, removals, len(c.gates), table, spec, spec)
 
 
-def eliminate_ntris_fast(
-    c: Circuit,
-    table: Mapping[int, int] = DEFAULT_COST_TABLE,
-    *,
-    max_width: int = DEFAULT_WIDTH_CAP,
-) -> tuple[Circuit, ReductionReport]:
-    """Same result as ``eliminate_ntris`` (same circuit, same removal
-    list, same pass count), finding the earlier equal prefix by one dict
-    lookup per input gate instead of an ascending search: m gate
-    applications and O(m) expected specification hashes."""
-    return _eliminate(c, table, max_width, hashed=True)
+# A second public name for the same pass, kept for existing callers.
+eliminate_ntris_fast = eliminate_ntris
 
 
 def is_irreducible(c: Circuit, *, max_width: int = DEFAULT_WIDTH_CAP) -> bool:

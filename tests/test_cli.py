@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import revident
 from revident import format_circuit, load_corpus_circuit, parse_circuit
 from revident.cli import main
 from revident.corpus import corpus_text
@@ -78,6 +83,16 @@ def test_reduce_fast_matches(rev, capsys):
     slow = capsys.readouterr().out
     assert main(["reduce", path, "--fast"]) == 0
     assert capsys.readouterr().out == slow
+
+
+def test_reduce_fast_report_is_byte_identical(rev, capsys, tmp_path):
+    path = rev("c.rev", corpus_text("app2_8"))
+    plain, fast = tmp_path / "plain.json", tmp_path / "fast.json"
+    assert main(["reduce", path, "--report", str(plain)]) == 0
+    assert main(["reduce", path, "--fast", "--report", str(fast)]) == 0
+    assert plain.read_bytes() == fast.read_bytes()
+    data = json.loads(plain.read_text())
+    assert data["comparisons"] == data["input_gates"]
 
 
 def test_gen_random_prints_parseable_circuit(capsys):
@@ -197,3 +212,30 @@ def test_circuit_output_reparses(rev, capsys):
     reduced = parse_circuit(out)
     assert reduced == load_corpus_circuit("app1_1a")
     assert format_circuit(reduced) == out.strip()
+
+
+def test_broken_pipe_exits_1_without_traceback(tmp_path):
+    src = str(Path(revident.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    err_path = tmp_path / "err.txt"
+    with open(err_path, "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "revident.cli", "gen-random",
+             "--width", "4", "--gates", "30000"],
+            stdout=subprocess.PIPE, stderr=err, env=env,
+        )
+        proc.stdout.read(10)
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+    assert code == 1
+    assert "Traceback" not in err_path.read_text()
+
+
+def test_broken_pipe_without_stdout_descriptor(monkeypatch, capsys):
+    # under capsys, sys.stdout is an in-memory stream with no fileno()
+    def closed_pipe(*_args):
+        raise BrokenPipeError
+
+    monkeypatch.setattr("revident.cli.format_circuit", closed_pipe)
+    assert main(["gen-random", "--width", "4", "--gates", "3"]) == 1
