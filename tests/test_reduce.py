@@ -207,7 +207,11 @@ def _reference_cases():
 
 
 class TestAgainstReference:
-    @pytest.mark.parametrize("eliminate", [eliminate_ntris, eliminate_ntris_fast])
+    @pytest.mark.parametrize(
+        "eliminate",
+        [eliminate_ntris, eliminate_ntris_fast],
+        ids=["eliminate_ntris", "eliminate_ntris_fast"],
+    )
     def test_matches_restarting_scan(self, eliminate):
         for c in _reference_cases():
             ref_out, ref = eliminate_reference(c)
