@@ -298,13 +298,14 @@ def run_table2(rows: tuple[Table2Row, ...] = TABLE2_ROWS) -> BenchReport:
         notes = []
         if (lo, hi) != row.bracket:
             notes.append(f"bracket parsed {(lo, hi)} vs recorded {row.bracket}")
-        spec_matches = simulate(c) == row.specification
+        spec = simulate(c)
+        spec_matches = spec == row.specification
         segment = Circuit(c.width, c.gates[lo:hi])
         bracket_is_identity = is_identity(segment)
         reduced, report = eliminate_ntris(c)
         survivors = surviving_indices(len(c.gates), report.removals)
         bracket_removed = all(i not in range(lo, hi) for i in survivors)
-        spec_preserved = report.input_spec == report.output_spec
+        spec_preserved = simulate(reduced) == spec
         computed_original = _gc(c)
         computed_reduced = _gc(reduced)
         if computed_original != row.printed_original:

@@ -19,9 +19,9 @@ share one removal discipline:
   Deleting gates ``j+1..i`` leaves prefixes ``0..j`` unchanged, so a
   restarted scan would find no hit among them.  The new prefix ``j+k``
   equals the old prefix ``i+k``, so the restarted scan carries on as
-  though gate ``i+1`` followed gate ``j``.  One pass over the input gates
-  with a stack of kept prefixes, cut back to ``j`` on each hit,
-  therefore makes the same removals in the same order.  The stacked
+  though gate ``i+1`` followed gate ``j``.  One pass over the input
+  prefixes with a stack of kept gates, cut back to ``j`` on each hit,
+  therefore makes the same removals in the same order.  The kept
   prefixes are distinct, so a dict from prefix specification to stack
   index finds the one ``j`` the paper's ascending search would: each
   input gate costs one gate application and one lookup.  The paper's
@@ -46,10 +46,9 @@ from .cost import DEFAULT_COST_TABLE, CostTableError, gate_cost
 from .semantics import (
     DEFAULT_WIDTH_CAP,
     Specification,
-    _check_width,
     _first_repeat,
-    apply_gate,
-    identity_spec,
+    _prefixes,
+    _table,
     simulate,
 )
 
@@ -199,37 +198,31 @@ def eliminate_ntris(
     """Remove every identity segment, in the paper's order.
 
     The output computes the same specification as the input and is
-    irreducible: no two of its prefix specifications are equal.  One pass
-    over the input gates keeps ``kept``, a stack of the gates kept so
-    far, ``prefixes[k]``, the specification of ``kept[:k]``, and
-    ``index``, a dict that mirrors ``prefixes``.  A hit of the next
-    gate's prefix against ``prefixes[j]`` is the hit a restarted scan
-    would find first, and the stack is cut back to ``j``, which is where
-    that restarted scan would carry on.  A circuit of m gates takes m
-    gate applications and m dict lookups; each application and hash
-    costs O(2**width)."""
-    _check_width(c.width, max_width)
-    spec = identity_spec(c.width)
+    irreducible: no two of its prefix specifications are equal.  Every
+    cut deletes an identity, so after input gate ``i`` the kept gates
+    compute input prefix ``i``, and one pass over the input prefixes
+    needs only ``kept``, the stack of kept gates, and ``index``, a dict
+    from the prefix of ``kept[:k]`` to ``k`` in stack order.  A hit
+    against ``j`` is the hit a restarted scan would find first; cutting
+    the stack back to ``j`` is where that scan would carry on.  A circuit
+    of m gates takes m gate applications and m dict lookups."""
+    steps = _prefixes(c, max_width)
+    spec = next(steps)
     kept: list[Gate] = []
-    prefixes = [spec]
-    index: dict[Specification, int] = {spec: 0}
+    index = {spec: 0}
     removals: list[Removal] = []
-    for g in c.gates:
-        spec = apply_gate(prefixes[-1], g, c.width)
+    for g, spec in zip(c.gates, steps):
         j = index.get(spec)
         if j is None:
             kept.append(g)
-            prefixes.append(spec)
             index[spec] = len(kept)
             continue
         i = len(kept) + 1
         removals.append(Removal(j, i, i - j, _maybe_cost(kept[j:] + [g], table)))
-        for dropped in prefixes[j + 1:]:
-            del index[dropped]
-        del kept[j:], prefixes[j + 1:]
-    # Every removal deletes an identity, so input and output compute the
-    # specification on top of the stack.
-    spec = prefixes[-1]
+        del kept[j:]
+        while len(index) > j + 1:  # newest entries sit at the dict's end
+            index.popitem()
+    spec = _table(spec)
     return _report(c, kept, len(removals) + 1, removals, len(c.gates), table, spec, spec)
 
 

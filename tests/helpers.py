@@ -1,9 +1,9 @@
 """Shared test helpers: independent oracles and input makers.
 
 The simulation oracle evaluates gates per input pattern with plain bit
-twiddling, deliberately avoiding the library's permutation-table
-composition so the two routes check each other.  The elimination oracle
-is the paper's restarting scan, carried out literally on top of it.
+twiddling, deliberately avoiding the library's bit-sliced columns so the
+two routes check each other.  The elimination oracle is the paper's
+restarting scan, carried out literally on top of it.
 """
 
 from __future__ import annotations

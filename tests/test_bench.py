@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+from revident import Circuit, bench, mct
 from revident.bench import (
     TABLE1_ROWS,
     TABLE2_ROWS,
@@ -96,6 +97,20 @@ class TestTable2:
             assert r.bracket_removed, r.circuit_id
             assert r.spec_preserved, r.circuit_id
             assert r.computed_original[0] == r.printed_original[0], r.circuit_id
+
+    def test_spec_preserved_checks_the_reduced_circuit(self, monkeypatch):
+        # A reduction that appends NOT(a) changes the specification; the
+        # check must compare the circuits, not the report with itself.
+        real = bench.eliminate_ntris
+
+        def appends_not(c, *args, **kwargs):
+            out, report = real(c, *args, **kwargs)
+            return Circuit(out.width, out.gates + (mct((), 0),)), report
+
+        monkeypatch.setattr(bench, "eliminate_ntris", appends_not)
+        report = run_table2()
+        assert not any(r.spec_preserved for r in report.rows)
+        assert not report.passed
 
     def test_reduced_figures_for_selected_rows(self):
         rows = {r.circuit_id: r for r in run_table2().rows}

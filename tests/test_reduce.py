@@ -204,6 +204,9 @@ def _reference_cases():
         yield _with_mirrors(rng, c) if n % 2 else c
     for n in range(12):
         yield late_hit_circuit(rng, 3 + n % 4, rng.randint(10, 40), rng.randint(1, 4), 6)
+    # two byte planes of specification bits
+    for n in range(4):
+        yield _with_mirrors(rng, random_circuit(rng, 9 + n % 2, rng.randint(5, 20)))
 
 
 class TestAgainstReference:

@@ -1,6 +1,6 @@
 """Specification semantics, checked two ways.
 
-Table-composition simulation (the library route) is compared against a
+Bit-sliced simulation (the library route) is compared against a
 per-input bit-twiddling oracle on randomized circuits, and a handful of
 small permutations are frozen as literal expected values.
 """
@@ -8,6 +8,8 @@ small permutations are frozen as literal expected values.
 from __future__ import annotations
 
 import random
+import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -80,6 +82,31 @@ def test_simulate_matches_bruteforce_oracle():
         width = rng.randint(1, 6)
         c = random_circuit(rng, width, rng.randint(0, 25))
         assert simulate(c) == simulate_bruteforce(c)
+
+
+@pytest.mark.parametrize("width", [7, 8, 9, 15, 16, 17])
+def test_simulate_matches_bruteforce_across_byte_planes(width):
+    # Eight wires share a byte plane of the unpacked table; wires 7, 8, 15
+    # and 16 sit on the plane edges.
+    rng = random.Random(width)
+    edges = (mct({0}, width - 1), mct({width - 1}, width // 2), mct((), width - 2))
+    c = Circuit(width, random_circuit(rng, width, 4).gates + edges)
+    assert simulate(c, max_width=17) == simulate_bruteforce(c)
+
+
+def test_simulation_retains_no_memory():
+    # Nothing is kept per gate between calls: 40 distinct width-12 gates
+    # would otherwise hold 40 tables of 4,096 entries.
+    gates = list(islice(all_gates(12), 40))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for g in gates:
+            simulate(Circuit(12, (g,)))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20
 
 
 @given(circuits())
