@@ -20,6 +20,9 @@ A circuit is a stream of whitespace-separated tokens::
 * At most one ``[`` ... ``]`` pair brackets a span of gates.
 * ``//`` starts a comment running to the end of the line.  Newlines and
   stray ``;`` are insignificant.
+
+Parsing is one regex scan, and ``Circuit`` checks and formatting visit
+each distinct gate once, so a repeated gate costs a match and a lookup.
 """
 
 from __future__ import annotations
@@ -94,8 +97,8 @@ class Circuit:
         object.__setattr__(self, "gates", tuple(self.gates))
         if self.width < 1:
             raise ValueError("width must be at least 1")
-        for g in self.gates:
-            if any(w >= self.width for w in g.wires):
+        for g in dict.fromkeys(self.gates):
+            if g.target >= self.width or any(w >= self.width for w in g.controls):
                 raise ValueError(f"gate {g} uses a wire outside width {self.width}")
         m = len(self.gates)
         if self.insertion_point is not None and not 0 <= self.insertion_point <= m:
@@ -117,10 +120,14 @@ class Circuit:
 
 _ARITY = {"NOT": 1, "CNOT": 2, "TOF": 3, "TOF4": 4}
 
-_WS_RE = re.compile(r"[\s;]+")
-_HEADER_RE = re.compile(r"wires\s*:([^\n]*)")
-_GATE_RE = re.compile(r"([A-Za-z][A-Za-z0-9]*)\s*\(([^()]*)\)")
+# After separators, a ``wires:`` header (groups 1-2), a gate (3-4) or one
+# character (5), tried in that order.  No alternative starts with a separator,
+# so each match begins where the last one ended and trailing ones match nothing.
+_TOKEN_RE = re.compile(
+    r"[\s;]*(?:(wires\s*:([^\n]*))|([A-Za-z][A-Za-z0-9]*)\s*\(([^()]*)\)|([^\s;]))"
+)
 _WIRE_RE = re.compile(r"[a-z]\Z")
+_ARG_SEP_RE = re.compile(r"[,;]")
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -128,101 +135,98 @@ def parse_circuit(text: str) -> Circuit:
 
     Without a ``wires:`` header, width is the number of distinct wire
     letters and wires are numbered in order of first appearance; empty
-    text parses as an empty one-wire circuit.
+    text parses as an empty one-wire circuit.  Error positions count
+    characters of the text with its comments removed.
+
+    One regex scan reads the text, and each distinct gate token is
+    checked and built once: its checks depend only on the token and the
+    header, which precedes every gate, and wire numbers only grow.
     """
-    text = re.sub(r"//[^\n]*", "", text)
-    order: list[str] = []
+    if "//" in text:
+        text = re.sub(r"//[^\n]*", "", text)
+    index: dict[str, int] = {}
     declared = False
     gates: list[Gate] = []
+    built: dict[tuple[str, str], Gate] = {}
     insertion: int | None = None
     bracket_start: int | None = None
     bracket_end: int | None = None
 
     def wire_index(name: str, pos: int) -> int:
-        if not _WIRE_RE.match(name):
-            raise ParseError(f"bad wire name {name!r} at position {pos}")
-        if name not in order:
+        i = index.get(name)
+        if i is None:
+            if not _WIRE_RE.match(name):
+                raise ParseError(f"bad wire name {name!r} at position {pos}")
             if declared:
                 raise ParseError(f"wire {name!r} at position {pos} not in wires: header")
-            order.append(name)
-        return order.index(name)
+            i = index[name] = len(index)
+        return i
 
-    pos = 0
-    n = len(text)
-    while pos < n:
-        m = _WS_RE.match(text, pos)
-        if m:
-            pos = m.end()
-            continue
-        m = _HEADER_RE.match(text, pos)
-        if m:
+    def build(name: str, body: str, pos: int) -> Gate:
+        if name not in _ARITY and name != "MCT":
+            raise ParseError(f"unknown gate name {name!r} at position {pos}")
+        args = [a.strip() for a in _ARG_SEP_RE.split(body)] if body.strip() else []
+        if name in _ARITY and len(args) != _ARITY[name]:
+            raise ParseError(f"{name} takes {_ARITY[name]} wires, got {len(args)} at position {pos}")
+        if name == "MCT" and not args:
+            raise ParseError(f"MCT needs at least a target at position {pos}")
+        idx = [wire_index(a, pos) for a in args]
+        if len(set(idx)) != len(idx):
+            raise ParseError(f"repeated wire in gate at position {pos}")
+        return Gate(frozenset(idx[:-1]), idx[-1])
+
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastindex == 4:
+            token = m.group(3, 4)
+            g = built.get(token)
+            if g is None:
+                g = built[token] = build(*token, m.start(3))
+            gates.append(g)
+        elif m.lastindex == 1:
+            pos = m.start(1)
             if declared:
                 raise ParseError(f"second wires: header at position {pos}")
             if gates or insertion is not None or bracket_start is not None:
                 raise ParseError(f"wires: header at position {pos} must precede all gates")
-            for name in re.split(r"[\s,]+", m.group(1).strip()):
-                if not name:
-                    continue
+            for name in re.findall(r"[^\s,]+", m.group(2)):
                 if not _WIRE_RE.match(name):
                     raise ParseError(f"bad wire name {name!r} in wires: header")
-                if name in order:
+                if name in index:
                     raise ParseError(f"repeated wire {name!r} in wires: header")
-                order.append(name)
-            if not order:
+                index[name] = len(index)
+            if not index:
                 raise ParseError("empty wires: header")
             declared = True
-            pos = m.end()
-            continue
-        m = _GATE_RE.match(text, pos)
-        if m:
-            name, body = m.group(1), m.group(2)
-            if name not in _ARITY and name != "MCT":
-                raise ParseError(f"unknown gate name {name!r} at position {pos}")
-            args = [a.strip() for a in re.split(r"[,;]", body)]
-            if args == [""]:
-                args = []
-            if name in _ARITY and len(args) != _ARITY[name]:
-                raise ParseError(
-                    f"{name} takes {_ARITY[name]} wires, got {len(args)} at position {pos}"
-                )
-            if name == "MCT" and not args:
-                raise ParseError(f"MCT needs at least a target at position {pos}")
-            idx = [wire_index(a, pos) for a in args]
-            if len(set(idx)) != len(idx):
-                raise ParseError(f"repeated wire in gate at position {pos}")
-            gates.append(Gate(frozenset(idx[:-1]), idx[-1]))
-            pos = m.end()
-            continue
-        ch = text[pos]
-        if ch == "#":
-            if insertion is not None:
-                raise ParseError(f"second insertion marker at position {pos}")
-            insertion = len(gates)
-        elif ch == "[":
-            if bracket_start is not None:
-                raise ParseError(f"second bracket at position {pos}")
-            bracket_start = len(gates)
-        elif ch == "]":
-            if bracket_start is None or bracket_end is not None:
-                raise ParseError(f"unbalanced ] at position {pos}")
-            bracket_end = len(gates)
         else:
-            raise ParseError(f"unexpected character {ch!r} at position {pos}")
-        pos += 1
+            ch, pos = m.group(5), m.start(5)
+            if ch == "#":
+                if insertion is not None:
+                    raise ParseError(f"second insertion marker at position {pos}")
+                insertion = len(gates)
+            elif ch == "[":
+                if bracket_start is not None:
+                    raise ParseError(f"second bracket at position {pos}")
+                bracket_start = len(gates)
+            elif ch == "]":
+                if bracket_start is None or bracket_end is not None:
+                    raise ParseError(f"unbalanced ] at position {pos}")
+                bracket_end = len(gates)
+            else:
+                raise ParseError(f"unexpected character {ch!r} at position {pos}")
 
     if bracket_start is not None and bracket_end is None:
         raise ParseError("unbalanced [: bracket never closed")
-    width = max(len(order), 1)
+    width = max(len(index), 1)
     bracket = None if bracket_start is None else (bracket_start, bracket_end)
     return Circuit(width, tuple(gates), insertion, bracket)
 
 
 # formatting ---------------------------------------------------------------
 
-def _wire_names(width: int) -> list[str]:
+def _wire_names(width: int) -> str:
     if width > 26:
         raise ValueError("text format supports at most 26 wires")
-    return [chr(ord("a") + i) for i in range(width)]
+    return "abcdefghijklmnopqrstuvwxyz"[:max(width, 0)]
 
 
 def format_gate(g: Gate, width: int) -> str:
@@ -239,27 +243,23 @@ def format_circuit(c: Circuit) -> str:
     """Render a circuit so that ``parse_circuit(format_circuit(c)) == c``.
 
     A ``wires:`` header is emitted only when the gate tokens alone would
-    not reproduce the width and wire order on re-parse.
+    not reproduce the width and wire order on re-parse.  Each distinct
+    gate is rendered, and adds its wires to that order, once.
     """
     names = _wire_names(c.width)
-    tokens: list[str] = []
-    seen: list[int] = []
-    m = len(c.gates)
-    for gap in range(m + 1):
-        if c.bracket is not None and c.bracket[1] == gap and c.bracket[0] != gap:
-            tokens.append("]")
-        if c.insertion_point == gap:
-            tokens.append("#")
-        if c.bracket is not None and c.bracket[0] == gap:
-            tokens.append("[")
-            if c.bracket[1] == gap:
-                tokens.append("]")
-        if gap < m:
-            g = c.gates[gap]
-            for w in sorted(g.controls) + [g.target]:
-                if w not in seen:
-                    seen.append(w)
-            tokens.append(format_gate(g, c.width))
+    rendered = {g: format_gate(g, c.width) for g in dict.fromkeys(c.gates)}
+    tokens = [rendered[g] for g in c.gates]
+    seen = list(dict.fromkeys(w for g in rendered for w in [*sorted(g.controls), g.target]))
+    # (gap, rank, mark): at one gap a closing ] comes first, then #, then [
+    # and an empty bracket's ].  Inserting from the back keeps gaps valid.
+    marks = []
+    if c.insertion_point is not None:
+        marks.append((c.insertion_point, 1, "#"))
+    if c.bracket is not None:
+        lo, hi = c.bracket
+        marks += [(lo, 2, "["), (hi, 3 if hi == lo else 0, "]")]
+    for gap, _, mark in sorted(marks, reverse=True):
+        tokens.insert(gap, mark)
     body = " ".join(tokens)
     if seen == list(range(c.width)) or (c.width == 1 and not seen):
         return body

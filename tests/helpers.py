@@ -3,14 +3,16 @@
 The simulation oracle evaluates gates per input pattern with plain bit
 twiddling, deliberately avoiding the library's bit-sliced columns so the
 two routes check each other.  The elimination oracle is the paper's
-restarting scan, carried out literally on top of it.
+restarting scan, carried out literally on top of it.  The text oracles
+are the parser and formatter that handled one gate token at a time.
 """
 
 from __future__ import annotations
 
 import random
+import re
 
-from revident import Circuit, Gate, GeneratorConfig, ReductionReport, Removal, gen_random_ntri
+from revident import Circuit, Gate, GeneratorConfig, ParseError, ReductionReport, Removal, gen_random_ntri
 from revident.cost import DEFAULT_COST_TABLE, CostTableError, gate_cost
 
 try:  # hypothesis is a test-only dependency
@@ -81,6 +83,158 @@ def eliminate_reference(c: Circuit, table=DEFAULT_COST_TABLE) -> tuple[Circuit, 
     )
 
 
+_ARITY = {"NOT": 1, "CNOT": 2, "TOF": 3, "TOF4": 4}
+
+_WS_RE = re.compile(r"[\s;]+")
+_HEADER_RE = re.compile(r"wires\s*:([^\n]*)")
+_GATE_RE = re.compile(r"([A-Za-z][A-Za-z0-9]*)\s*\(([^()]*)\)")
+_WIRE_RE = re.compile(r"[a-z]\Z")
+
+
+def parse_reference(text: str) -> Circuit:
+    """The gate-at-a-time parser that ``parse_circuit`` replaced, kept
+    verbatim as its oracle.  Raises ParseError on any malformed input.
+
+    Without a ``wires:`` header, width is the number of distinct wire
+    letters and wires are numbered in order of first appearance; empty
+    text parses as an empty one-wire circuit.
+    """
+    text = re.sub(r"//[^\n]*", "", text)
+    order: list[str] = []
+    declared = False
+    gates: list[Gate] = []
+    insertion: int | None = None
+    bracket_start: int | None = None
+    bracket_end: int | None = None
+
+    def wire_index(name: str, pos: int) -> int:
+        if not _WIRE_RE.match(name):
+            raise ParseError(f"bad wire name {name!r} at position {pos}")
+        if name not in order:
+            if declared:
+                raise ParseError(f"wire {name!r} at position {pos} not in wires: header")
+            order.append(name)
+        return order.index(name)
+
+    pos = 0
+    n = len(text)
+    while pos < n:
+        m = _WS_RE.match(text, pos)
+        if m:
+            pos = m.end()
+            continue
+        m = _HEADER_RE.match(text, pos)
+        if m:
+            if declared:
+                raise ParseError(f"second wires: header at position {pos}")
+            if gates or insertion is not None or bracket_start is not None:
+                raise ParseError(f"wires: header at position {pos} must precede all gates")
+            for name in re.split(r"[\s,]+", m.group(1).strip()):
+                if not name:
+                    continue
+                if not _WIRE_RE.match(name):
+                    raise ParseError(f"bad wire name {name!r} in wires: header")
+                if name in order:
+                    raise ParseError(f"repeated wire {name!r} in wires: header")
+                order.append(name)
+            if not order:
+                raise ParseError("empty wires: header")
+            declared = True
+            pos = m.end()
+            continue
+        m = _GATE_RE.match(text, pos)
+        if m:
+            name, body = m.group(1), m.group(2)
+            if name not in _ARITY and name != "MCT":
+                raise ParseError(f"unknown gate name {name!r} at position {pos}")
+            args = [a.strip() for a in re.split(r"[,;]", body)]
+            if args == [""]:
+                args = []
+            if name in _ARITY and len(args) != _ARITY[name]:
+                raise ParseError(
+                    f"{name} takes {_ARITY[name]} wires, got {len(args)} at position {pos}"
+                )
+            if name == "MCT" and not args:
+                raise ParseError(f"MCT needs at least a target at position {pos}")
+            idx = [wire_index(a, pos) for a in args]
+            if len(set(idx)) != len(idx):
+                raise ParseError(f"repeated wire in gate at position {pos}")
+            gates.append(Gate(frozenset(idx[:-1]), idx[-1]))
+            pos = m.end()
+            continue
+        ch = text[pos]
+        if ch == "#":
+            if insertion is not None:
+                raise ParseError(f"second insertion marker at position {pos}")
+            insertion = len(gates)
+        elif ch == "[":
+            if bracket_start is not None:
+                raise ParseError(f"second bracket at position {pos}")
+            bracket_start = len(gates)
+        elif ch == "]":
+            if bracket_start is None or bracket_end is not None:
+                raise ParseError(f"unbalanced ] at position {pos}")
+            bracket_end = len(gates)
+        else:
+            raise ParseError(f"unexpected character {ch!r} at position {pos}")
+        pos += 1
+
+    if bracket_start is not None and bracket_end is None:
+        raise ParseError("unbalanced [: bracket never closed")
+    width = max(len(order), 1)
+    bracket = None if bracket_start is None else (bracket_start, bracket_end)
+    return Circuit(width, tuple(gates), insertion, bracket)
+
+
+def _wire_names(width: int) -> list[str]:
+    if width > 26:
+        raise ValueError("text format supports at most 26 wires")
+    return [chr(ord("a") + i) for i in range(width)]
+
+
+def _format_gate_reference(g: Gate, width: int) -> str:
+    """Render one gate token; controls are printed in wire order."""
+    names = _wire_names(width)
+    args = [names[c] for c in sorted(g.controls)]
+    if len(g.controls) <= 3:
+        name = ("NOT", "CNOT", "TOF", "TOF4")[len(g.controls)]
+        return f"{name}({', '.join(args + [names[g.target]])})"
+    return f"MCT({', '.join(args)}; {names[g.target]})"
+
+
+def format_reference(c: Circuit) -> str:
+    """The gate-at-a-time formatter that ``format_circuit`` replaced, kept
+    verbatim as its oracle.  ``parse_reference(format_reference(c)) == c``.
+
+    A ``wires:`` header is emitted only when the gate tokens alone would
+    not reproduce the width and wire order on re-parse.
+    """
+    names = _wire_names(c.width)
+    tokens: list[str] = []
+    seen: list[int] = []
+    m = len(c.gates)
+    for gap in range(m + 1):
+        if c.bracket is not None and c.bracket[1] == gap and c.bracket[0] != gap:
+            tokens.append("]")
+        if c.insertion_point == gap:
+            tokens.append("#")
+        if c.bracket is not None and c.bracket[0] == gap:
+            tokens.append("[")
+            if c.bracket[1] == gap:
+                tokens.append("]")
+        if gap < m:
+            g = c.gates[gap]
+            for w in sorted(g.controls) + [g.target]:
+                if w not in seen:
+                    seen.append(w)
+            tokens.append(_format_gate_reference(g, c.width))
+    body = " ".join(tokens)
+    if seen == list(range(c.width)) or (c.width == 1 and not seen):
+        return body
+    header = f"wires: {' '.join(names)}"
+    return f"{header}\n{body}" if body else header
+
+
 def random_circuit(rng: random.Random, width: int, gates: int) -> Circuit:
     """Plain sampler, independent of the library's generator module."""
     out = []
@@ -141,13 +295,13 @@ def all_gates(width: int, max_controls: int = 3):
 if st is not None:
 
     @st.composite
-    def circuits(draw, max_width: int = 5, max_gates: int = 12):
+    def circuits(draw, max_width: int = 5, max_gates: int = 12, max_controls: int = 3):
         width = draw(st.integers(min_value=1, max_value=max_width))
         gates = []
         for _ in range(draw(st.integers(min_value=0, max_value=max_gates))):
             target = draw(st.integers(min_value=0, max_value=width - 1))
             rest = [w for w in range(width) if w != target]
-            k = draw(st.integers(min_value=0, max_value=min(3, len(rest))))
+            k = draw(st.integers(min_value=0, max_value=min(max_controls, len(rest))))
             controls = draw(
                 st.lists(st.sampled_from(rest), min_size=k, max_size=k, unique=True)
                 if rest

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revident import (
     Circuit,
@@ -19,7 +20,26 @@ from revident import (
     parse_circuit,
 )
 
-from helpers import circuits
+from helpers import circuits, format_reference, parse_reference
+
+# Fragments of circuit text, valid and not, that token soup is drawn from;
+# whole gate tokens with a random argument list make repeats and valid gates
+# common enough to exercise reuse of parsed gates.
+_OPENERS = ["NOT(", "CNOT(", "TOF(", "TOF4(", "MCT("]
+_SOUP = [*"abczAZ#[];,:/()", "\n", " ", *_OPENERS, "wires:", "//"]
+_GATE_TEXT = st.builds(
+    "{}{})".format,
+    st.sampled_from(_OPENERS),
+    st.lists(st.sampled_from([*"abcz", " "]), max_size=4).map(", ".join),
+)
+
+
+def _parse_outcome(parse, text):
+    try:
+        c = parse(text)
+    except ParseError as e:
+        return str(e)
+    return c, c.width, c.insertion_point, c.bracket
 
 
 class TestGate:
@@ -134,6 +154,45 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_circuit(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("FOO(a)", "unknown gate name 'FOO' at position 0"),
+            ("TOF(a, b)", "TOF takes 3 wires, got 2 at position 0"),
+            ("NOT(a, b)", "NOT takes 1 wires, got 2 at position 0"),
+            ("TOF(a, b, a)", "repeated wire in gate at position 0"),
+            ("MCT()", "MCT needs at least a target at position 0"),
+            ("NOT(a) # # NOT(a)", "second insertion marker at position 9"),
+            ("[ NOT(a)", "unbalanced [: bracket never closed"),
+            ("] NOT(a)", "unbalanced ] at position 0"),
+            ("[ NOT(a) ] [ NOT(a) ]", "second bracket at position 11"),
+            ("NOT(a) wires: a", "wires: header at position 7 must precede all gates"),
+            ("wires: a a", "repeated wire 'a' in wires: header"),
+            ("wires:", "empty wires: header"),
+            ("wires: a b\nNOT(c)", "wire 'c' at position 11 not in wires: header"),
+            ("NOT(A)", "bad wire name 'A' at position 0"),
+            ("NOT(a) $", "unexpected character '$' at position 7"),
+            ("wires: a\nwires: a", "second wires: header at position 9"),
+        ],
+    )
+    def test_malformed_input_message(self, text, message):
+        with pytest.raises(ParseError) as e:
+            parse_circuit(text)
+        assert str(e.value) == message
+
+    @given(st.lists(st.sampled_from(_SOUP) | _GATE_TEXT, max_size=40).map("".join))
+    @settings(max_examples=400)
+    def test_matches_reference_parser(self, text):
+        outcome = _parse_outcome(parse_circuit, text)
+        assert outcome == _parse_outcome(parse_reference, text)
+        if not isinstance(outcome, str):
+            assert format_circuit(outcome[0]) == format_reference(outcome[0])
+
+    def test_repeated_token_reuses_its_gate(self):
+        c = parse_circuit("NOT(a) CNOT(a, b) " * 5000)
+        assert len(c) == 10000
+        assert c.gates[0] is c.gates[2] and c.gates[1] is c.gates[3]
+
 
 class TestFormat:
     def test_gate_tokens(self):
@@ -170,6 +229,17 @@ class TestFormat:
     @settings(max_examples=150)
     def test_round_trip(self, c):
         again = parse_circuit(format_circuit(c))
+        assert again == c
+        assert again.width == c.width
+        assert again.insertion_point == c.insertion_point
+        assert again.bracket == c.bracket
+
+    @given(circuits(max_width=26, max_controls=25))
+    @settings(max_examples=150)
+    def test_round_trip_up_to_26_wires(self, c):
+        text = format_circuit(c)
+        assert text == format_reference(c)
+        again = parse_circuit(text)
         assert again == c
         assert again.width == c.width
         assert again.insertion_point == c.insertion_point
