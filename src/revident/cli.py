@@ -9,6 +9,7 @@ errors, missing files, bad arguments).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -29,7 +30,7 @@ class CliError(Exception):
 def _read_circuit(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise CliError(f"cannot read {path}: {e}") from e
     try:
         return parse_circuit(text)
@@ -206,6 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call."""
+    return build_parser()
+
+
 def _discard_stdout() -> None:
     """Point stdout's file descriptor at os.devnull, so that the flush at
     interpreter exit does not hit the broken pipe again.  A stdout with no
@@ -220,8 +227,7 @@ def _discard_stdout() -> None:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.func(args)
         # A pipe closed before a short output is flushed must fail here,

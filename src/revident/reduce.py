@@ -22,9 +22,15 @@ share one removal discipline:
   though gate ``i+1`` followed gate ``j``.  One pass over the input
   prefixes with a stack of kept gates, cut back to ``j`` on each hit,
   therefore makes the same removals in the same order.  The kept
-  prefixes are distinct, so a dict from prefix specification to stack
-  index finds the one ``j`` the paper's ascending search would: each
-  input gate costs one gate application and one lookup.  The paper's
+  prefixes are distinct, so the one ``j`` the paper's ascending search
+  would find is the one candidate that confirms: prefixes are looked up
+  by fingerprint (see ``semantics``), and a candidate is confirmed
+  exactly, by simulating the span it would delete from the identity (or,
+  for the empty prefix, by comparing the live columns with the
+  identity).  Each input
+  gate costs one gate application, one column hash and one lookup, and
+  the confirmations that succeed cost at most one more gate application
+  per input gate, since each deletes the span it simulated.  The paper's
   restarting scan is kept as the test oracle.
 * ``eliminate_ntris_fast`` is another name for ``eliminate_ntris``.
 
@@ -46,8 +52,11 @@ from .cost import DEFAULT_COST_TABLE, CostTableError, gate_cost
 from .semantics import (
     DEFAULT_WIDTH_CAP,
     Specification,
+    _Columns,
+    _confirms,
+    _fingerprints,
     _first_repeat,
-    _prefixes,
+    _identity_columns,
     _table,
     simulate,
 )
@@ -79,16 +88,56 @@ class Removal:
             raise ValueError("gate_count does not match the span")
 
 
+class _FinalColumns:
+    """The columns a reduction ends with, turned into a specification on
+    the first read and kept; both report fields share one."""
+
+    def __init__(self, cols: _Columns) -> None:
+        self._cols: "_Columns | None" = cols
+        self._spec: "Specification | None" = None
+
+    def spec(self) -> Specification:
+        if self._cols is not None:
+            self._spec, self._cols = _table(self._cols), None
+        return self._spec
+
+
+class _SpecField:
+    """A report field holding a specification or None, or a
+    ``_FinalColumns`` that becomes one the first time the field is read."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self._name = name
+
+    def __get__(self, report: "ReductionReport | None", owner: type = None):
+        if report is None:  # class access: tells ``dataclass`` there is no default
+            raise AttributeError(self._name)
+        value = report.__dict__[self._name]
+        if isinstance(value, _FinalColumns):
+            value = report.__dict__[self._name] = value.spec()
+        return value
+
+    def __set__(self, report: "ReductionReport", value) -> None:
+        report.__dict__[self._name] = value
+
+
 @dataclass(frozen=True)
 class ReductionReport:
     """What a reduction did.  ``passes`` counts the passes of the paper's
     restarting scan, including the final one that found nothing: one more
-    than the number of removals.  Cost and
-    specification fields are None when the cost table has no entry for
-    some gate or the width exceeds the cap.  ``comparisons`` counts
-    equality tests: one prefix lookup per input gate for
-    ``eliminate_ntris``, one gate comparison per gate that meets a
-    non-empty stack for ``remove_trivial_identities``.  It is
+    than the number of removals.  Cost and specification fields are None
+    when the cost table has no entry for some gate or the width exceeds
+    the cap.
+
+    The specifications are lazy for ``eliminate_ntris``: the report keeps
+    the final bit-sliced columns and builds one table from them on the
+    first read of either field, so a caller that never reads them never
+    pays for a ``2**n``-entry table.  Values, equality and ``to_dict()``
+    are those of an eager report.
+
+    ``comparisons`` counts equality tests: one prefix lookup per input
+    gate for ``eliminate_ntris``, one gate comparison per gate that meets
+    a non-empty stack for ``remove_trivial_identities``.  It is
     informational only and never takes part in equality."""
 
     passes: int
@@ -97,8 +146,8 @@ class ReductionReport:
     output_gates: int
     input_cost: int | None
     output_cost: int | None
-    input_spec: Specification | None
-    output_spec: Specification | None
+    input_spec: Specification | None = _SpecField()
+    output_spec: Specification | None = _SpecField()
     comparisons: int = field(default=0, compare=False)
 
     @property
@@ -141,8 +190,8 @@ def _report(
     removals: list[Removal],
     comparisons: int,
     table: Mapping[int, int],
-    in_spec: Specification | None,
-    out_spec: Specification | None,
+    in_spec: "Specification | _FinalColumns | None",
+    out_spec: "Specification | _FinalColumns | None",
 ) -> tuple[Circuit, ReductionReport]:
     out = Circuit(c.width, tuple(out_gates))
     report = ReductionReport(
@@ -201,28 +250,48 @@ def eliminate_ntris(
     irreducible: no two of its prefix specifications are equal.  Every
     cut deletes an identity, so after input gate ``i`` the kept gates
     compute input prefix ``i``, and one pass over the input prefixes
-    needs only ``kept``, the stack of kept gates, and ``index``, a dict
-    from the prefix of ``kept[:k]`` to ``k`` in stack order.  A hit
-    against ``j`` is the hit a restarted scan would find first; cutting
-    the stack back to ``j`` is where that scan would carry on.  A circuit
-    of m gates takes m gate applications and m dict lookups."""
-    steps = _prefixes(c, max_width)
-    spec = next(steps)
+    needs only ``kept``, the stack of kept gates, ``fps``, the
+    fingerprint of each kept prefix ``kept[:k]``, and ``index``, a dict
+    from fingerprint to the stack indices that carry it.  A candidate
+    ``j`` is confirmed by simulating ``kept[j:]`` plus the new gate from
+    the identity (``j = 0`` needs no simulation); kept prefixes are
+    distinct, so at most one confirms.  A hit against ``j`` is the hit a
+    restarted scan would find first; cutting the stack back to ``j`` is
+    where that scan would carry on.  A circuit of m gates takes m gate
+    applications, m column hashes and m dict lookups, plus at most m
+    gate applications across all the confirmations that succeed, since
+    each deletes the span it simulated.  The report's specifications are
+    built from the final columns only when read."""
+    cols = _identity_columns(c.width, max_width)
+    identity = cols.copy()
+    steps = _fingerprints(cols, c.gates)
+    fp = next(steps)
     kept: list[Gate] = []
-    index = {spec: 0}
+    fps = [fp]
+    index: dict[int, list[int]] = {fp: [0]}
     removals: list[Removal] = []
-    for g, spec in zip(c.gates, steps):
-        j = index.get(spec)
-        if j is None:
+    for g, fp in zip(c.gates, steps):
+        candidates = index.setdefault(fp, [])
+        for j in candidates:
+            span = kept[j:]
+            span.append(g)
+            if _confirms(identity, cols, j, span):
+                break
+        else:
             kept.append(g)
-            index[spec] = len(kept)
+            candidates.append(len(kept))
+            fps.append(fp)
             continue
         i = len(kept) + 1
-        removals.append(Removal(j, i, i - j, _maybe_cost(kept[j:] + [g], table)))
+        removals.append(Removal(j, i, i - j, _maybe_cost(span, table)))
         del kept[j:]
-        while len(index) > j + 1:  # newest entries sit at the dict's end
-            index.popitem()
-    spec = _table(spec)
+        for f in fps[j + 1:]:  # each list ends with its newest index
+            candidates = index[f]
+            candidates.pop()
+            if not candidates:
+                del index[f]
+        del fps[j + 1:]
+    spec = _FinalColumns(cols)
     return _report(c, kept, len(removals) + 1, removals, len(c.gates), table, spec, spec)
 
 

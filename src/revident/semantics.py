@@ -8,16 +8,31 @@ patterns.  A pattern is encoded as an integer with wire ``k`` on bit
 
 Inside the module a specification is bit-sliced, ``n`` ints of
 ``2**n`` bits: bit ``x`` of column ``k`` is bit ``k`` of ``spec[x]``, and
-a gate is ``cols[t] ^= AND(cols[c] for c in controls)``.  Every walk over
-a circuit consumes one prefix scan, ``_prefixes``, and the tuple form is
-built only where a specification leaves the module.  Widths above
+a gate is ``cols[t] ^= AND(cols[c] for c in controls)``, applied in
+place to one live list of columns by ``_run``.  The tuple form is built
+only where a specification leaves the module.  Widths above
 ``DEFAULT_WIDTH_CAP`` are rejected unless the caller raises ``max_width``.
+
+Prefixes are looked up by fingerprint, so a scan keeps one live set of
+columns rather than one per prefix.  The prefix scan ``_fingerprints``
+keys each prefix by ``sum(r_k * hash(col_k))`` with fixed pseudo-random
+multipliers ``r_k`` (Karp-Rabin fingerprinting; the int hash of a column
+is its value mod ``2**61 - 1``), so a gate costs one application and one
+hash of its target column.  Equal prefixes always share a fingerprint; a
+shared fingerprint is confirmed exactly by ``_confirms``: the empty
+prefix is compared with the live columns directly, any other by
+simulating the gates between the two prefixes from the identity
+(``_spans_identity``).  A collision therefore costs time, never a wrong
+answer.  ``_spans_identity`` also decides ``is_identity`` and
+``equivalent``.
 """
 
 from __future__ import annotations
 
+import random
 import struct
-from typing import Iterator
+from operator import mul
+from typing import Iterable, Iterator
 
 from .circuit import Circuit, Gate, WidthMismatchError
 
@@ -37,7 +52,7 @@ __all__ = [
 ]
 
 Specification = tuple[int, ...]
-_Columns = tuple[int, ...]  # bit-sliced: bit x of column k is bit k of spec[x]
+_Columns = list[int]  # bit-sliced: bit x of column k is bit k of spec[x]
 
 DEFAULT_WIDTH_CAP = 16
 
@@ -67,27 +82,75 @@ def format_spec(spec: Specification) -> str:
     return "[" + ",".join(str(v) for v in spec) + "]"
 
 
-def _prefixes(c: Circuit, max_width: int) -> Iterator[_Columns]:
-    """Bit-sliced specifications of every gate prefix of ``c``: the
-    identity first, then one after each gate, ``len(c) + 1`` in all."""
-    if c.width > max_width:
+def _identity_columns(width: int, max_width: int) -> _Columns:
+    """The bit-sliced identity on ``width`` wires, built one wire wider
+    per step; every walk over a circuit starts here."""
+    if width > max_width:
         raise WidthCapExceeded(
-            f"width {c.width} needs a table of 2**{c.width} entries; "
-            f"pass max_width={c.width} to allow it"
+            f"width {width} needs a table of 2**{width} entries; "
+            f"pass max_width={width} to allow it"
         )
-    cols: _Columns = ()
-    for w in range(c.width):  # the identity, one wire wider per step
+    cols: _Columns = []
+    for w in range(width):
         half = 1 << w
-        cols = tuple(col | col << half for col in cols) + (((1 << half) - 1) << half,)
-    yield cols
-    everywhere = (1 << (1 << c.width)) - 1
-    for g in c.gates:
+        cols = [col | col << half for col in cols]
+        cols.append(((1 << half) - 1) << half)
+    return cols
+
+
+def _run(cols: _Columns, gates: Iterable[Gate]) -> _Columns:
+    """Apply ``gates`` in order to the columns ``cols``, in place, and
+    return ``cols``."""
+    everywhere = (1 << (1 << len(cols))) - 1
+    for g in gates:
+        fire = everywhere
+        for w in g.controls:
+            fire &= cols[w]
+        cols[g.target] ^= fire
+    return cols
+
+
+def _spans_identity(identity: _Columns, gates: Iterable[Gate]) -> bool:
+    """True when ``gates`` compose to the identity, checked exactly by
+    simulating them from ``identity``, the identity's columns."""
+    return _run(identity.copy(), gates) == identity
+
+
+def _confirms(identity: _Columns, cols: _Columns, j: int, span: Iterable[Gate]) -> bool:
+    """True when prefix ``j`` equals the live prefix ``cols``, ``span``
+    being the gates between them.  Prefix 0 is the identity itself; any
+    other is compared by simulating ``span`` from the identity."""
+    return cols == identity if j == 0 else _spans_identity(identity, span)
+
+
+# Wire k's column hash is weighted by a fixed pseudo-random multiplier
+# below 2**61 - 1, the modulus of CPython's int hash.  A width needs 2**width
+# bits per column, so 64 wires are more than any width can reach.
+_MULTIPLIERS = tuple(random.Random(20110122).sample(range(1, (1 << 61) - 1), 64))
+_column_hash = hash
+
+
+def _fingerprints(cols: _Columns, gates: Iterable[Gate]) -> Iterator[int]:
+    """The prefix scan: the fingerprint of ``cols`` as given, then of
+    ``cols`` after each gate, ``len(gates) + 1`` in all, applying the
+    gates to ``cols`` in place.  A fingerprint is the exact integer
+    ``sum(r_k * hash(cols[k]))``, so a gate rehashes only its target
+    column.  Equal prefixes have equal fingerprints; a shared fingerprint
+    is only a candidate, to be confirmed with ``_confirms``."""
+    hashes = list(map(_column_hash, cols))
+    fp = sum(map(mul, _MULTIPLIERS, hashes))
+    yield fp
+    everywhere = (1 << (1 << len(cols))) - 1
+    for g in gates:  # _run's gate application, inlined in the hot loop
         fire = everywhere
         for w in g.controls:
             fire &= cols[w]
         t = g.target
-        cols = cols[:t] + (cols[t] ^ fire,) + cols[t + 1:]
-        yield cols
+        cols[t] = col = cols[t] ^ fire
+        h = _column_hash(col)
+        fp += _MULTIPLIERS[t] * (h - hashes[t])
+        hashes[t] = h
+        yield fp
 
 
 def _table(cols: _Columns) -> Specification:
@@ -117,34 +180,43 @@ def simulate(c: Circuit, *, max_width: int = DEFAULT_WIDTH_CAP) -> Specification
     Gates apply left to right: the image of ``x`` is the last gate's
     permutation applied to ... applied to the first gate's.
     """
-    for cols in _prefixes(c, max_width):
-        pass
-    return _table(cols)
+    return _table(_run(_identity_columns(c.width, max_width), c.gates))
 
 
 def prefix_trace(c: Circuit, *, max_width: int = DEFAULT_WIDTH_CAP) -> tuple[Specification, ...]:
     """Specifications of every gate prefix: entry ``i`` covers gates
     1..i, entry 0 is the identity.  Length is ``len(c) + 1``."""
-    return tuple(map(_table, _prefixes(c, max_width)))
+    cols = _identity_columns(c.width, max_width)
+    return (_table(cols),) + tuple(_table(_run(cols, (g,))) for g in c.gates)
 
 
 def _first_repeat(c: Circuit, max_width: int) -> "tuple[int, int] | None":
     """The first pair ``(j, i)``, ``j < i``, of equal prefix specifications,
     smallest ``i`` first, or None when all ``len(c) + 1`` prefixes are
-    distinct.  Prefixes are computed lazily, so the scan stops at the hit."""
-    earliest: dict[_Columns, int] = {}
-    for i, cols in enumerate(_prefixes(c, max_width)):
-        j = earliest.setdefault(cols, i)
-        if j != i:
-            return j, i
+    distinct.  The scan stops at the hit.  Prefixes before ``i`` are
+    distinct, so at most one candidate ``j`` with ``i``'s fingerprint
+    confirms."""
+    cols = _identity_columns(c.width, max_width)
+    identity = cols.copy()
+    seen: dict[int, list[int]] = {}
+    for i, fp in enumerate(_fingerprints(cols, c.gates)):
+        candidates = seen.get(fp)
+        if candidates is None:
+            seen[fp] = [i]
+            continue
+        for j in candidates:
+            if _confirms(identity, cols, j, c.gates[j:i]):
+                return j, i
+        candidates.append(i)
     return None
 
 
 def is_identity(c: Circuit, *, max_width: int = DEFAULT_WIDTH_CAP) -> bool:
-    return simulate(c, max_width=max_width) == identity_spec(c.width)
+    return _spans_identity(_identity_columns(c.width, max_width), c.gates)
 
 
 def equivalent(a: Circuit, b: Circuit, *, max_width: int = DEFAULT_WIDTH_CAP) -> bool:
     if a.width != b.width:
         raise WidthMismatchError(f"widths differ: {a.width} vs {b.width}")
-    return simulate(a, max_width=max_width) == simulate(b, max_width=max_width)
+    # a and b agree iff a followed by b's inverse, b reversed, is the identity
+    return _spans_identity(_identity_columns(a.width, max_width), a.gates + b.gates[::-1])

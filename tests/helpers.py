@@ -37,7 +37,7 @@ def simulate_bruteforce(c: Circuit) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _first_hit(gates: list[Gate], width: int) -> tuple[int, int] | None:
+def first_hit(gates: list[Gate], width: int) -> tuple[int, int] | None:
     """The paper's scan: end index ascending, start index ascending."""
     spec = tuple(range(1 << width))
     prefixes = [spec]
@@ -65,7 +65,7 @@ def eliminate_reference(c: Circuit, table=DEFAULT_COST_TABLE) -> tuple[Circuit, 
     gates = list(c.gates)
     removals = []
     passes = 1
-    while (hit := _first_hit(gates, c.width)) is not None:
+    while (hit := first_hit(gates, c.width)) is not None:
         j, i = hit
         removals.append(Removal(j, i, i - j, _cost(gates[j:i], table)))
         del gates[j:i]

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -11,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import revident
-from revident import format_circuit, load_corpus_circuit, parse_circuit
+from revident import cli, format_circuit, load_corpus_circuit, parse_circuit
 from revident.cli import main
 from revident.corpus import corpus_text
 
@@ -93,6 +96,55 @@ def test_reduce_fast_report_is_byte_identical(rev, capsys, tmp_path):
     assert plain.read_bytes() == fast.read_bytes()
     data = json.loads(plain.read_text())
     assert data["comparisons"] == data["input_gates"]
+
+
+def test_reduce_without_report_builds_no_table(rev, capsys, tmp_path, monkeypatch):
+    table = revident.semantics._table
+    calls = []
+
+    def counting(cols):
+        calls.append(len(cols))
+        return table(cols)
+
+    monkeypatch.setattr("revident.reduce._table", counting)
+    monkeypatch.setattr("revident.semantics._table", counting)
+    path = rev("c.rev", corpus_text("app2_8"))
+    assert main(["reduce", path]) == 0
+    assert main(["reduce", path, "--fast"]) == 0
+    assert calls == []
+    assert main(["reduce", path, "--report", str(tmp_path / "r.json")]) == 0
+    assert calls == [4]
+
+
+# The --report JSON, specifications and comparisons included, as the
+# eager eliminator wrote it: (text, sha256 of the JSON file).
+GOLDEN_REPORTS = [
+    ("NOT(a) NOT(a) NOT(a)", "488835bd54ff8659781bd9ed1333ce117f30fb81e857b26b36263cf0cb5149e6"),
+    ("app2_8", "50e0423b50334205ca9fe513ea4bef26ab6752ebcd98fcbda57e8509a0be8c22"),
+    ("gen-random 9 40 5", "0535da025412b5c4b5ff4d75b78cd9382b75d13e3f09c271662c19866d71d044"),
+    ("gen-random 16 12 7", "062d257e8c51c69a1b5f6fff5cfeca15afaed050987247ba12b266a2ff5132f6"),
+]
+
+
+def _golden_text(spec: str) -> str:
+    if spec.startswith("gen-random"):
+        width, gates, seed = map(int, spec.split()[1:])
+        c = revident.gen_random_circuit(
+            revident.GeneratorConfig(width=width, gates=gates, seed=seed))
+        # a mirrored span makes nested identities to remove
+        mid = len(c.gates) // 2
+        return format_circuit(revident.Circuit(width, c.gates + c.gates[mid:][::-1] + c.gates[mid:]))
+    return corpus_text(spec) if spec.startswith("app") else spec
+
+
+@pytest.mark.parametrize("spec, digest", GOLDEN_REPORTS, ids=[s for s, _ in GOLDEN_REPORTS])
+def test_report_json_is_golden(rev, capsys, tmp_path, spec, digest):
+    path = rev("c.rev", _golden_text(spec))
+    report = tmp_path / "r.json"
+    assert main(["reduce", path, "--report", str(report)]) == 0
+    data = report.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+    assert json.loads(data)["comparisons"] == json.loads(data)["input_gates"]
 
 
 def test_gen_random_prints_parseable_circuit(capsys):
@@ -183,6 +235,59 @@ def test_parse_error_exit_code(rev, capsys):
 
 def test_missing_file(capsys):
     assert main(["simulate", "/nonexistent/file.rev"]) == 2
+
+
+def test_invalid_utf8_names_the_file(tmp_path, capsys):
+    path = tmp_path / "latin1.rev"
+    path.write_bytes("NOT(a) // café\n".encode("latin-1"))
+    assert main(["simulate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+    assert "Traceback" not in err
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse rejects the arguments
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_parser_is_built_once(rev, monkeypatch):
+    c = rev("c.rev", corpus_text("app2_8"))
+    d = rev("d.rev", "wires: a b c d\nNOT(a)")
+    argvs = [
+        ["simulate", c],
+        ["reduce", c, "--fast"],
+        ["equiv", c, d],
+        ["gen-random", "--width", "3", "--gates", "4", "--seed", "1"],
+        ["reduce", "--no-such-flag", c],
+        ["cost", c],
+        ["frobnicate"],
+        ["reduce", c, "--trivial-only"],
+    ]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", cli.build_parser)  # a fresh parser per call
+        fresh = [_outcome(argv) for argv in argvs]
+    build_parser = cli.build_parser
+    builds = []
+
+    def counting():
+        builds.append(1)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting)
+    try:
+        outcomes = [_outcome(argv) for argv in argvs]
+    finally:
+        cli._parser.cache_clear()
+    assert outcomes == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 1, 0, 2, 0, 2, 0]
+    assert len(builds) == 1
 
 
 def test_bench_human(capsys):

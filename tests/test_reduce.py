@@ -4,16 +4,19 @@ both its names, and the reduction reports."""
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
 from revident import (
     Circuit,
+    GeneratorConfig,
     ReductionReport,
     Removal,
     WidthCapExceeded,
     eliminate_ntris,
     eliminate_ntris_fast,
+    gen_random_circuit,
     is_identity,
     is_irreducible,
     mct,
@@ -22,9 +25,11 @@ from revident import (
     remove_trivial_identities,
     simulate,
 )
+from revident import semantics
 from revident.bench import surviving_indices
+from revident.semantics import _first_repeat
 
-from helpers import eliminate_reference, late_hit_circuit, random_circuit
+from helpers import eliminate_reference, first_hit, late_hit_circuit, random_circuit
 
 GOLDEN = "wires: a b c\nCNOT(b, a) TOF(a, b, c) CNOT(c, b) CNOT(c, b) TOF(a, b, c)"
 
@@ -235,6 +240,51 @@ class TestAgainstReference:
         assert slow.comparisons == fast.comparisons == m
 
 
+def _late_hit_cases():
+    rng = random.Random(606)
+    for n in range(8):
+        yield late_hit_circuit(rng, 3 + n % 3, rng.randint(5, 25), rng.randint(2, 4), 6)
+
+
+class TestFingerprintIndex:
+    """Every prefix lookup collides when the column hash is a constant:
+    only the exact confirmation then tells candidates apart."""
+
+    @pytest.fixture()
+    def colliding(self, monkeypatch):
+        monkeypatch.setattr(semantics, "_column_hash", lambda col: 0)
+
+    def test_constant_fingerprint_matches_restarting_scan(self, colliding):
+        for c in [*_reference_cases(), *_late_hit_cases()]:
+            ref_out, ref = eliminate_reference(c)
+            out, report = eliminate_ntris(c)
+            assert out == ref_out
+            assert report.removals == ref.removals
+            assert report.passes == ref.passes
+            assert report.input_spec == ref.input_spec
+            assert report.output_spec == ref.output_spec
+            assert report == ref
+            assert report.comparisons == len(c.gates)
+
+    @pytest.mark.parametrize("constant", [False, True], ids=["real", "constant"])
+    def test_first_repeat_matches_bruteforce(self, monkeypatch, constant):
+        if constant:
+            monkeypatch.setattr(semantics, "_column_hash", lambda col: 0)
+        for c in [*_reference_cases(), *_late_hit_cases()]:
+            assert _first_repeat(c, 16) == first_hit(list(c.gates), c.width)
+
+    def test_peak_memory_at_width_16(self):
+        c = gen_random_circuit(GeneratorConfig(width=16, gates=500, seed=3))
+        tracemalloc.start()
+        try:
+            out, _ = eliminate_ntris(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) <= len(c)
+        assert peak < 1 << 20
+
+
 class TestReport:
     def test_report_dict_shape(self):
         _, report = eliminate_ntris(parse_circuit(GOLDEN))
@@ -253,6 +303,34 @@ class TestReport:
         assert out.gates == ()
         assert report.input_cost is None and report.removals[0].cost is None
         assert report.output_cost == 0
+
+    def test_specs_built_on_first_read_only(self, monkeypatch):
+        calls = []
+
+        def counting(cols):
+            calls.append(len(cols))
+            return semantics._table(cols)
+
+        monkeypatch.setattr("revident.reduce._table", counting)
+        c = parse_circuit(GOLDEN)
+        _, report = eliminate_ntris(c)
+        assert calls == []
+        assert report.input_spec == simulate(c)
+        assert report.output_spec is report.input_spec
+        assert calls == [3]
+        assert report.to_dict()["output_spec"] == list(simulate(c))
+        assert calls == [3]
+
+    def test_lazy_report_equals_eager_report(self):
+        _, lazy = eliminate_ntris(parse_circuit(GOLDEN))
+        fields = {f: getattr(lazy, f) for f in (
+            "passes", "removals", "input_gates", "output_gates", "input_cost",
+            "output_cost", "input_spec", "output_spec", "comparisons")}
+        eager = ReductionReport(**fields)
+        assert eager == lazy and hash(eager) == hash(lazy)
+        assert eager.to_dict() == lazy.to_dict()
+        with pytest.raises(TypeError):
+            ReductionReport(**{k: v for k, v in fields.items() if k != "output_spec"})
 
     def test_removal_validation(self):
         with pytest.raises(ValueError):

@@ -156,6 +156,22 @@ def test_equivalent():
     assert not equivalent(a, parse_circuit("wires: a b\nNOT(b)"))
 
 
+def test_identity_and_equivalence_compare_columns(monkeypatch):
+    # no specification table is built, even at width 16
+    def no_table(cols):
+        raise AssertionError("built a table")
+
+    monkeypatch.setattr("revident.semantics._table", no_table)
+    rng = random.Random(16)
+    c = random_circuit(rng, 16, 30)
+    assert is_identity(concat(c, inverse(c)))
+    assert not is_identity(c)
+    assert equivalent(c, c)
+    assert not equivalent(c, Circuit(16, c.gates[1:]))
+    with pytest.raises(WidthCapExceeded, match="pass max_width=17"):
+        is_identity(Circuit(17, ()))
+
+
 def test_equivalent_width_mismatch():
     with pytest.raises(WidthMismatchError):
         equivalent(parse_circuit("NOT(a)"), parse_circuit("CNOT(a, b)"))
