@@ -20,7 +20,7 @@ from .circuit import ParseError, WidthMismatchError, concat, format_circuit, ins
 from .cost import CostTableError, DEFAULT_COST_TABLE, circuit_cost, gate_count, load_cost_table
 from .generate import GeneratorConfig, GeneratorError, gen_random_circuit, gen_random_ntri
 from .reduce import eliminate_ntris, remove_trivial_identities
-from .semantics import WidthCapExceeded, equivalent, format_spec, simulate
+from .semantics import DEFAULT_WIDTH_CAP, WidthCapExceeded, _columns, _spec_text, equivalent
 
 
 class CliError(Exception):
@@ -49,7 +49,7 @@ def _cost_table(path: "str | None"):
 
 def _cmd_simulate(args) -> int:
     c = _read_circuit(args.file)
-    print(format_spec(simulate(c)))
+    print(_spec_text(_columns(c, DEFAULT_WIDTH_CAP)))
     return 0
 
 
@@ -237,8 +237,14 @@ def main(argv: "list[str] | None" = None) -> int:
     except BrokenPipeError:
         _discard_stdout()
         return 1
-    except (CliError, WidthMismatchError, WidthCapExceeded, CostTableError,
-            GeneratorError, ValueError) as e:
+    except WidthCapExceeded as e:
+        # The library's advice names a keyword argument, which no command
+        # line can pass; keep the part that names the width.
+        need = str(e).partition(";")[0]
+        print(f"error: {need}; revident handles at most {DEFAULT_WIDTH_CAP} wires",
+              file=sys.stderr)
+        return 2
+    except (CliError, WidthMismatchError, CostTableError, GeneratorError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -53,12 +53,12 @@ from .semantics import (
     DEFAULT_WIDTH_CAP,
     Specification,
     _Columns,
+    _columns,
     _confirms,
     _fingerprints,
     _first_repeat,
     _identity_columns,
     _table,
-    simulate,
 )
 
 __all__ = [
@@ -129,11 +129,11 @@ class ReductionReport:
     when the cost table has no entry for some gate or the width exceeds
     the cap.
 
-    The specifications are lazy for ``eliminate_ntris``: the report keeps
-    the final bit-sliced columns and builds one table from them on the
-    first read of either field, so a caller that never reads them never
-    pays for a ``2**n``-entry table.  Values, equality and ``to_dict()``
-    are those of an eager report.
+    The specifications are lazy: the report keeps the final bit-sliced
+    columns and builds one table from them on the first read of either
+    field, so a caller that never reads them never pays for a
+    ``2**n``-entry table.  Values, equality and ``to_dict()`` are those
+    of an eager report.
 
     ``comparisons`` counts equality tests: one prefix lookup per input
     gate for ``eliminate_ntris``, one gate comparison per gate that meets
@@ -220,7 +220,8 @@ def remove_trivial_identities(
     handles that in one linear sweep, and the result does not depend on
     deletion order.  Specifications are filled in only when the width
     fits the cap; cancelling pairs keeps the specification, so the input
-    is simulated once and the output shares its specification.
+    is simulated once and the output shares its specification, built
+    from the final columns when read.
     """
     stack: list[Gate] = []
     removals: list[Removal] = []
@@ -234,7 +235,7 @@ def remove_trivial_identities(
             stack.pop()
         else:
             stack.append(g)
-    spec = simulate(c, max_width=max_width) if c.width <= max_width else None
+    spec = _FinalColumns(_columns(c, max_width)) if c.width <= max_width else None
     return _report(c, stack, 1, removals, comparisons, table, spec, spec)
 
 

@@ -10,8 +10,13 @@ Inside the module a specification is bit-sliced, ``n`` ints of
 ``2**n`` bits: bit ``x`` of column ``k`` is bit ``k`` of ``spec[x]``, and
 a gate is ``cols[t] ^= AND(cols[c] for c in controls)``, applied in
 place to one live list of columns by ``_run``.  The tuple form is built
-only where a specification leaves the module.  Widths above
-``DEFAULT_WIDTH_CAP`` are rejected unless the caller raises ``max_width``.
+by ``_table`` only where a specification leaves the module as a value.
+Where it leaves as text, ``_spec_text`` makes ``format_spec``'s text
+straight from the columns: the decimal digits are computed bit-sliced
+and the text is assembled in bulk byte operations, with no tuple and no
+``str`` per entry.  Both boundaries turn columns into byte planes with
+``_spread``.  Widths above ``DEFAULT_WIDTH_CAP`` are rejected unless the
+caller raises ``max_width``.
 
 Prefixes are looked up by fingerprint, so a scan keeps one live set of
 columns rather than one per prefix.  The prefix scan ``_fingerprints``
@@ -153,6 +158,18 @@ def _fingerprints(cols: _Columns, gates: Iterable[Gate]) -> Iterator[int]:
         yield fp
 
 
+def _spread(cols: _Columns, size: int, ones: int) -> int:
+    """Up to eight columns as one byte plane: bit ``b`` of byte ``x``
+    (little-endian) is bit ``x`` of ``cols[b]``.  ``ones`` has every byte
+    of ``size`` bytes set to 1.  All-zero columns are skipped."""
+    plane = 0
+    binary = f"0{size}b"  # one b"0"/b"1" per byte, input size-1 first
+    for b, col in enumerate(cols):
+        if col:
+            plane |= (int.from_bytes(format(col, binary).encode(), "big") & ones) << b
+    return plane
+
+
 def _table(cols: _Columns) -> Specification:
     """The tuple form of bit-sliced columns: byte ``x`` of a plane holds
     input ``x``'s bits of eight columns, read back as 32-bit entries."""
@@ -160,12 +177,57 @@ def _table(cols: _Columns) -> Specification:
     ones = int.from_bytes(b"\1" * size, "big")
     entries = bytearray(4 * size)
     for p in range(0, len(cols), 8):
-        plane = 0
-        for b, col in enumerate(cols[p:p + 8]):
-            # One digit b"0"/b"1" per byte, input size-1 first; keep bit 0.
-            plane |= (int.from_bytes(format(col, f"0{size}b").encode(), "big") & ones) << b
-        entries[p // 8::4] = plane.to_bytes(size, "little")
+        entries[p // 8::4] = _spread(cols[p:p + 8], size, ones).to_bytes(size, "little")
     return struct.unpack(f"<{size}I", entries)
+
+
+# Byte values of the text planes: the units plane holds digits 0-9, and
+# every other plane holds 0x10 plus the digit, or 0x1a for a zero below a
+# nonzero digit.  A 0x10 byte, a leading zero, is deleted; brackets and
+# commas pass through.
+_DIGIT_CHARS = bytes.maketrans(bytes([*range(0x00, 0x0a), *range(0x11, 0x1b)]),
+                               b"0123456789" b"1234567890")
+
+
+def _spec_text(cols: _Columns) -> str:
+    """``format_spec(_table(cols))``, made on the columns: a bit-sliced
+    double dabble (shift and add 3) turns the ``n`` columns into four
+    columns per decimal digit, and each digit becomes one byte plane of
+    the text, which holds ``digits + 1`` bytes per input with a comma
+    last.  Leading zeros are deleted from the text in one pass."""
+    size = 1 << len(cols)
+    digits = len(str(size - 1))
+    # Four columns per digit, units first.  The top three bits make a
+    # value below 8, so no digit needs an adjustment until they are in.
+    bcd = cols[-3:]
+    bcd += [0] * (4 * digits - len(bcd))
+    for col in reversed(cols[:-3]):
+        for j in range(0, 4 * digits, 4):
+            if bcd[j + 2] or bcd[j + 3]:  # add 3 wherever the digit is 5 or more
+                d0, d1, d2, d3 = bcd[j:j + 4]
+                add = d3 | d2 & (d1 | d0)
+                c0 = d0 & add
+                c1 = d1 & add | c0
+                c2 = d2 & c1
+                bcd[j:j + 4] = d0 ^ add, d1 ^ add ^ c0, d2 ^ c1, d3 ^ c2
+        bcd.insert(0, col)  # shift left by one bit, bringing in col
+        bcd.pop()
+    ones = int.from_bytes(b"\1" * size, "big")
+    stride = digits + 1  # input x's digits and comma start at 1 + stride * x
+    text = bytearray(b"[") + bytearray(b",") * (stride * size)
+    above = 0  # inputs with a nonzero digit above digit j
+    for j in reversed(range(digits)):
+        d0, d1, d2, d3 = bcd[4 * j:4 * j + 4]
+        if j:  # mark the zeros to print, those below a nonzero digit, as 10
+            nonzero = d0 | d1 | d2 | d3
+            inner = above & ~nonzero
+            above |= nonzero
+            d1 |= inner
+            d3 |= inner
+        plane = _spread((d0, d1, d2, d3), size, ones) | (ones << 4 if j else 0)
+        text[digits - j::stride] = plane.to_bytes(size, "little")
+    text[-1] = ord("]")
+    return text.translate(_DIGIT_CHARS, b"\x10").decode("ascii")
 
 
 def gate_permutation(gate: Gate, width: int, *, max_width: int = DEFAULT_WIDTH_CAP) -> Specification:
@@ -180,7 +242,12 @@ def simulate(c: Circuit, *, max_width: int = DEFAULT_WIDTH_CAP) -> Specification
     Gates apply left to right: the image of ``x`` is the last gate's
     permutation applied to ... applied to the first gate's.
     """
-    return _table(_run(_identity_columns(c.width, max_width), c.gates))
+    return _table(_columns(c, max_width))
+
+
+def _columns(c: Circuit, max_width: int) -> _Columns:
+    """The columns of the whole circuit."""
+    return _run(_identity_columns(c.width, max_width), c.gates)
 
 
 def prefix_trace(c: Circuit, *, max_width: int = DEFAULT_WIDTH_CAP) -> tuple[Specification, ...]:

@@ -35,6 +35,34 @@ def test_simulate(rev, capsys):
     assert capsys.readouterr().out.strip() == "[12,15,5,8,3,2,1,10,7,14,13,6,11,0,9,4]"
 
 
+def test_simulate_prints_from_columns(rev, capsys, monkeypatch):
+    # a width-16 specification is printed without the 65,536-entry tuple;
+    # the digest is of the stdout that format_spec(simulate(c)) gave
+    table, format_spec = revident.semantics._table, revident.semantics.format_spec
+    calls = []
+    monkeypatch.setattr("revident.semantics._table",
+                        lambda cols: calls.append("_table") or table(cols))
+    monkeypatch.setattr("revident.semantics.format_spec",
+                        lambda spec: calls.append("format_spec") or format_spec(spec))
+    c = revident.gen_random_circuit(revident.GeneratorConfig(width=16, gates=40, seed=11))
+    path = rev("c.rev", format_circuit(c))
+    assert main(["simulate", path]) == 0
+    out = capsys.readouterr().out
+    assert calls == []
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "831d5b3c275ec1e364fe9a592f990df6fbfe4defc9391c24690d913357349a0b")
+
+
+def test_width_cap_message_names_no_keyword(rev, capsys):
+    path = rev("c.rev", "wires: " + " ".join("abcdefghijklmnopq") + "\nNOT(a)")
+    for argv in (["simulate", path], ["gen-ntri", "--width", "17", "--min-len", "4"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: width 17 needs a table of 2**17 entries; revident handles at most 16 wires\n")
+
+
 def test_cost(rev, capsys):
     path = rev("c.rev", corpus_text("app1_1a"))
     assert main(["cost", path]) == 0
@@ -111,6 +139,7 @@ def test_reduce_without_report_builds_no_table(rev, capsys, tmp_path, monkeypatc
     path = rev("c.rev", corpus_text("app2_8"))
     assert main(["reduce", path]) == 0
     assert main(["reduce", path, "--fast"]) == 0
+    assert main(["reduce", path, "--trivial-only"]) == 0
     assert calls == []
     assert main(["reduce", path, "--report", str(tmp_path / "r.json")]) == 0
     assert calls == [4]

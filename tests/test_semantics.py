@@ -33,6 +33,8 @@ from revident import (
     simulate,
 )
 
+from revident.semantics import _columns, _spec_text, _table
+
 from helpers import all_gates, circuits, random_circuit, simulate_bruteforce
 
 
@@ -92,6 +94,32 @@ def test_simulate_matches_bruteforce_across_byte_planes(width):
     edges = (mct({0}, width - 1), mct({width - 1}, width // 2), mct((), width - 2))
     c = Circuit(width, random_circuit(rng, width, 4).gates + edges)
     assert simulate(c, max_width=17) == simulate_bruteforce(c)
+
+
+@pytest.mark.parametrize("width", range(1, 18))
+def test_spec_text_matches_formatted_table(width):
+    # format_spec(_table(cols)) is the oracle; the digit count changes at
+    # widths 4, 7, 10, 14 and 17, and byte planes meet at 8 and 16.
+    rng = random.Random(width)
+    singles = (mct((), width - 1), mct(range(1, width), 0), mct(range(width - 1), width - 1))
+    cases = [Circuit(width, ())] + [Circuit(width, (g,)) for g in singles]
+    cases += [random_circuit(rng, width, 2 * width) for _ in range(3)]
+    for c in cases:
+        cols = _columns(c, 17)
+        assert _spec_text(cols) == format_spec(_table(cols))
+
+
+def test_spec_text_peak_memory_at_width_16():
+    # the formatted table peaks at about 6.5 MB: 65,536 ints and strings
+    cols = _columns(random_circuit(random.Random(16), 16, 40), 16)
+    tracemalloc.start()
+    try:
+        text = _spec_text(cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.startswith("[") and text.count(",") == (1 << 16) - 1
+    assert peak < 2 << 20
 
 
 def test_simulation_retains_no_memory():
