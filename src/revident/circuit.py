@@ -21,8 +21,15 @@ A circuit is a stream of whitespace-separated tokens::
 * ``//`` starts a comment running to the end of the line.  Newlines and
   stray ``;`` are insignificant.
 
-Parsing is one regex scan, and ``Circuit`` checks and formatting visit
-each distinct gate once, so a repeated gate costs a match and a lookup.
+Cost model
+----------
+Per gate, only C-level work runs: the scan matches a whole run of gate
+tokens between markers as one match, ``findall`` splits the run into
+``(name, body)`` pairs, and the run's gates are appended by one mapped
+lookup.  Per distinct gate token, Python checks and builds the gate once.
+``Circuit`` checks and ``format_circuit`` renders each distinct gate
+object once, found by identity in a dict built in C, so gate equality
+and hashing are never called; the tokens are then mapped per gate.
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ class Gate:
     def __post_init__(self) -> None:
         controls = frozenset(self.controls)
         object.__setattr__(self, "controls", controls)
-        if self.target < 0 or any(c < 0 for c in controls):
+        if self.target < 0 or controls and min(controls) < 0:
             raise ValueError("wire indices must be non-negative")
         if self.target in controls:
             raise ValueError(f"target wire {self.target} is also a control")
@@ -97,8 +104,10 @@ class Circuit:
         object.__setattr__(self, "gates", tuple(self.gates))
         if self.width < 1:
             raise ValueError("width must be at least 1")
-        for g in dict.fromkeys(self.gates):
-            if g.target >= self.width or any(w >= self.width for w in g.controls):
+        # Each distinct gate object once: keyed by identity, the dict is
+        # built in C without calling the dataclass ``__hash__``.
+        for g in dict(zip(map(id, self.gates), self.gates)).values():
+            if g.target >= self.width or g.controls and max(g.controls) >= self.width:
                 raise ValueError(f"gate {g} uses a wire outside width {self.width}")
         m = len(self.gates)
         if self.insertion_point is not None and not 0 <= self.insertion_point <= m:
@@ -118,16 +127,56 @@ class Circuit:
 
 # parsing ------------------------------------------------------------------
 
-_ARITY = {"NOT": 1, "CNOT": 2, "TOF": 3, "TOF4": 4}
+_ARITY = {"NOT": 1, "CNOT": 2, "TOF": 3, "TOF4": 4, "MCT": None}  # None: any number
+_WIRES = frozenset("abcdefghijklmnopqrstuvwxyz")
 
-# After separators, a ``wires:`` header (groups 1-2), a gate (3-4) or one
-# character (5), tried in that order.  No alternative starts with a separator,
-# so each match begins where the last one ended and trailing ones match nothing.
+# After separators, a ``wires:`` header (groups 1-2), a run of gates with the
+# separators after them (3) or one character (4), tried in that order.  No
+# alternative starts with a separator, so each match begins where the last
+# one ended and trailing separators match nothing.  A gate needs ``name(``
+# and a header ``wires:``, so no header hides inside a run.
 _TOKEN_RE = re.compile(
-    r"[\s;]*(?:(wires\s*:([^\n]*))|([A-Za-z][A-Za-z0-9]*)\s*\(([^()]*)\)|([^\s;]))"
+    r"[\s;]*(?:(wires\s*:([^\n]*))"
+    r"|((?:[A-Za-z][A-Za-z0-9]*\s*\([^()]*\)[\s;]*)+)|([^\s;]))"
 )
-_WIRE_RE = re.compile(r"[a-z]\Z")
-_ARG_SEP_RE = re.compile(r"[,;]")
+_GATE_RE = re.compile(r"([A-Za-z][A-Za-z0-9]*)\s*\(([^()]*)\)")
+
+
+class _BadToken(Exception):
+    """A gate token that does not parse; its position, known only to the
+    caller, goes between ``head`` and ``tail`` of the message."""
+
+    def __init__(self, head: str, tail: str = "") -> None:
+        self.head, self.tail = head, tail
+
+
+def _build(name: str, body: str, index: dict[str, int], declared: bool) -> Gate:
+    """Check one gate token and build its gate, numbering any new wire
+    in ``index``.  Raises _BadToken."""
+    arity = _ARITY.get(name, 0)
+    if arity == 0:
+        raise _BadToken(f"unknown gate name {name!r} at position ")
+    args = body.replace(";", ",").split(",") if body.strip() else []
+    if arity is not None and len(args) != arity:
+        raise _BadToken(f"{name} takes {arity} wires, got {len(args)} at position ")
+    if not args:
+        raise _BadToken("MCT needs at least a target at position ")
+    idx = []
+    for a in args:
+        a = a.strip()
+        i = index.get(a)
+        if i is None:
+            if a not in _WIRES:
+                raise _BadToken(f"bad wire name {a!r} at position ")
+            if declared:
+                raise _BadToken(f"wire {a!r} at position ", " not in wires: header")
+            i = index[a] = len(index)
+        idx.append(i)
+    target = idx.pop()
+    controls = frozenset(idx)
+    if target in controls or len(controls) != len(idx):
+        raise _BadToken("repeated wire in gate at position ")
+    return Gate(controls, target)
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -138,9 +187,13 @@ def parse_circuit(text: str) -> Circuit:
     text parses as an empty one-wire circuit.  Error positions count
     characters of the text with its comments removed.
 
-    One regex scan reads the text, and each distinct gate token is
-    checked and built once: its checks depend only on the token and the
-    header, which precedes every gate, and wire numbers only grow.
+    One regex scan splits the text into headers, markers and runs of
+    gates; ``findall`` splits each run into its gate tokens.  Each
+    distinct token is checked and built once, in order of first
+    appearance: its checks depend only on the token and the header,
+    which precedes every gate, and wire numbers only grow.  So the first
+    token that fails is also the first failing token in the text, and
+    only then is the run scanned again for its position.
     """
     if "//" in text:
         text = re.sub(r"//[^\n]*", "", text)
@@ -152,36 +205,18 @@ def parse_circuit(text: str) -> Circuit:
     bracket_start: int | None = None
     bracket_end: int | None = None
 
-    def wire_index(name: str, pos: int) -> int:
-        i = index.get(name)
-        if i is None:
-            if not _WIRE_RE.match(name):
-                raise ParseError(f"bad wire name {name!r} at position {pos}")
-            if declared:
-                raise ParseError(f"wire {name!r} at position {pos} not in wires: header")
-            i = index[name] = len(index)
-        return i
-
-    def build(name: str, body: str, pos: int) -> Gate:
-        if name not in _ARITY and name != "MCT":
-            raise ParseError(f"unknown gate name {name!r} at position {pos}")
-        args = [a.strip() for a in _ARG_SEP_RE.split(body)] if body.strip() else []
-        if name in _ARITY and len(args) != _ARITY[name]:
-            raise ParseError(f"{name} takes {_ARITY[name]} wires, got {len(args)} at position {pos}")
-        if name == "MCT" and not args:
-            raise ParseError(f"MCT needs at least a target at position {pos}")
-        idx = [wire_index(a, pos) for a in args]
-        if len(set(idx)) != len(idx):
-            raise ParseError(f"repeated wire in gate at position {pos}")
-        return Gate(frozenset(idx[:-1]), idx[-1])
-
     for m in _TOKEN_RE.finditer(text):
-        if m.lastindex == 4:
-            token = m.group(3, 4)
-            g = built.get(token)
-            if g is None:
-                g = built[token] = build(*token, m.start(3))
-            gates.append(g)
+        if m.lastindex == 3:
+            tokens = _GATE_RE.findall(m.group(3))
+            for token in dict.fromkeys(tokens):
+                if token not in built:
+                    try:
+                        built[token] = _build(*token, index, declared)
+                    except _BadToken as e:
+                        pos = next(t.start() for t in _GATE_RE.finditer(text, *m.span(3))
+                                   if t.group(1, 2) == token)
+                        raise ParseError(f"{e.head}{pos}{e.tail}") from None
+            gates += map(built.__getitem__, tokens)
         elif m.lastindex == 1:
             pos = m.start(1)
             if declared:
@@ -189,7 +224,7 @@ def parse_circuit(text: str) -> Circuit:
             if gates or insertion is not None or bracket_start is not None:
                 raise ParseError(f"wires: header at position {pos} must precede all gates")
             for name in re.findall(r"[^\s,]+", m.group(2)):
-                if not _WIRE_RE.match(name):
+                if name not in _WIRES:
                     raise ParseError(f"bad wire name {name!r} in wires: header")
                 if name in index:
                     raise ParseError(f"repeated wire {name!r} in wires: header")
@@ -198,7 +233,7 @@ def parse_circuit(text: str) -> Circuit:
                 raise ParseError("empty wires: header")
             declared = True
         else:
-            ch, pos = m.group(5), m.start(5)
+            ch, pos = m.group(4), m.start(4)
             if ch == "#":
                 if insertion is not None:
                     raise ParseError(f"second insertion marker at position {pos}")
@@ -223,33 +258,46 @@ def parse_circuit(text: str) -> Circuit:
 
 # formatting ---------------------------------------------------------------
 
+_NAMES = ("NOT", "CNOT", "TOF", "TOF4")
+
+
 def _wire_names(width: int) -> str:
     if width > 26:
         raise ValueError("text format supports at most 26 wires")
     return "abcdefghijklmnopqrstuvwxyz"[:max(width, 0)]
 
 
+def _token(wires: list[int], names: str) -> str:
+    """Render a gate from its sorted controls followed by its target."""
+    args = ", ".join(map(names.__getitem__, wires))
+    if len(wires) <= 4:
+        return f"{_NAMES[len(wires) - 1]}({args})"
+    # wire names are single letters, so the target is the last character
+    return f"MCT({args[:-3]}; {args[-1]})"
+
+
 def format_gate(g: Gate, width: int) -> str:
     """Render one gate token; controls are printed in wire order."""
-    names = _wire_names(width)
-    args = [names[c] for c in sorted(g.controls)]
-    if len(g.controls) <= 3:
-        name = ("NOT", "CNOT", "TOF", "TOF4")[len(g.controls)]
-        return f"{name}({', '.join(args + [names[g.target]])})"
-    return f"MCT({', '.join(args)}; {names[g.target]})"
+    return _token([*sorted(g.controls), g.target], _wire_names(width))
 
 
 def format_circuit(c: Circuit) -> str:
     """Render a circuit so that ``parse_circuit(format_circuit(c)) == c``.
 
     A ``wires:`` header is emitted only when the gate tokens alone would
-    not reproduce the width and wire order on re-parse.  Each distinct
-    gate is rendered, and adds its wires to that order, once.
+    not reproduce the width and wire order on re-parse.  One pass over
+    the distinct gate objects, found by identity, renders each and adds
+    its wires to that order; the tokens are then looked up per gate.
     """
     names = _wire_names(c.width)
-    rendered = {g: format_gate(g, c.width) for g in dict.fromkeys(c.gates)}
-    tokens = [rendered[g] for g in c.gates]
-    seen = list(dict.fromkeys(w for g in rendered for w in [*sorted(g.controls), g.target]))
+    rendered: dict[int, str] = {}
+    seen: dict[int, None] = {}
+    for key, g in dict(zip(map(id, c.gates), c.gates)).items():
+        wires = sorted(g.controls)
+        wires.append(g.target)
+        seen.update(dict.fromkeys(wires))
+        rendered[key] = _token(wires, names)
+    tokens = list(map(rendered.__getitem__, map(id, c.gates)))
     # (gap, rank, mark): at one gap a closing ] comes first, then #, then [
     # and an empty bracket's ].  Inserting from the back keeps gaps valid.
     marks = []
@@ -261,7 +309,7 @@ def format_circuit(c: Circuit) -> str:
     for gap, _, mark in sorted(marks, reverse=True):
         tokens.insert(gap, mark)
     body = " ".join(tokens)
-    if seen == list(range(c.width)) or (c.width == 1 and not seen):
+    if list(seen) == list(range(c.width)) or (c.width == 1 and not seen):
         return body
     header = f"wires: {' '.join(names)}"
     return f"{header}\n{body}" if body else header

@@ -25,8 +25,12 @@ def corpus_ids() -> tuple[str, ...]:
     return SUITE1_IDS + SUITE2_IDS
 
 
+# Resolved once; a read then costs a path join, a stat and the read.
+_CORPUS = files("revident") / "corpus"
+
+
 def corpus_text(circuit_id: str) -> str:
-    resource = files("revident").joinpath("corpus", f"{circuit_id}.rev")
+    resource = _CORPUS / f"{circuit_id}.rev"
     if not resource.is_file():
         raise KeyError(f"no corpus circuit {circuit_id!r}")
     return resource.read_text(encoding="utf-8")

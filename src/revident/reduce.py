@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .circuit import Circuit, Gate
-from .cost import DEFAULT_COST_TABLE, CostTableError, gate_cost
+from .cost import DEFAULT_COST_TABLE, _sum_costs
 from .semantics import (
     DEFAULT_WIDTH_CAP,
     Specification,
@@ -178,8 +178,8 @@ class ReductionReport:
 
 def _maybe_cost(gates: "list[Gate] | tuple[Gate, ...]", table: Mapping[int, int]) -> int | None:
     try:
-        return sum(gate_cost(g, table) for g in gates)
-    except CostTableError:
+        return _sum_costs(gates, table)
+    except KeyError:
         return None
 
 

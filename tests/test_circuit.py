@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revident import (
@@ -24,13 +24,17 @@ from helpers import circuits, format_reference, parse_reference
 
 # Fragments of circuit text, valid and not, that token soup is drawn from;
 # whole gate tokens with a random argument list make repeats and valid gates
-# common enough to exercise reuse of parsed gates.
-_OPENERS = ["NOT(", "CNOT(", "TOF(", "TOF4(", "MCT("]
-_SOUP = [*"abczAZ#[];,:/()", "\n", " ", *_OPENERS, "wires:", "//"]
+# common enough to exercise reuse of parsed gates.  Gate tokens come with a
+# separator that may be empty, ";" or a newline, so runs of gates form
+# between markers and headers, and bad tokens sit inside and after them.
+_OPENERS = ["NOT(", "CNOT(", "TOF(", "TOF4(", "MCT(", "NOT (", "wires(", "FOO("]
+_SOUP = [*"abczAZ#[];,:/()", "\n", " ", *_OPENERS, "wires:", "//",
+         "wires: a b c\n", "wires: c a\n"]
 _GATE_TEXT = st.builds(
-    "{}{})".format,
+    "{}{}){}".format,
     st.sampled_from(_OPENERS),
-    st.lists(st.sampled_from([*"abcz", " "]), max_size=4).map(", ".join),
+    st.lists(st.sampled_from([*"abczA", " "]), max_size=4).map(", ".join),
+    st.sampled_from(["", "", " ", ";", "; ", "\n"]),
 )
 
 
@@ -180,8 +184,16 @@ class TestParse:
             parse_circuit(text)
         assert str(e.value) == message
 
+    # runs split by markers, ;-separated and unseparated tokens, a gate
+    # named wires, a bad token after a marker, wires added late
     @given(st.lists(st.sampled_from(_SOUP) | _GATE_TEXT, max_size=40).map("".join))
-    @settings(max_examples=400)
+    @example("NOT(a)NOT(b) # CNOT(a, b);TOF(a, b, c)\nNOT(b)")
+    @example("NOT(a) [ CNOT(a, b) ] NOT(a) # FOO(a) NOT(b)")
+    @example("wires: b a\nNOT(a) # NOT(a) NOT(c) NOT(a)")
+    @example("NOT(a) # NOT(a) wires(a)")
+    @example("NOT(a) CNOT(b, a) TOF(a, b, a) NOT(A)")
+    @example("CNOT(a, b) [ TOF(c, d, a) MCT(e, f, a, b; c) ] TOF(a, b, a)")
+    @settings(max_examples=600)
     def test_matches_reference_parser(self, text):
         outcome = _parse_outcome(parse_circuit, text)
         assert outcome == _parse_outcome(parse_reference, text)
@@ -244,6 +256,32 @@ class TestFormat:
         assert again.width == c.width
         assert again.insertion_point == c.insertion_point
         assert again.bracket == c.bracket
+
+
+class TestDistinctObjects:
+    """Checks and formatting visit each distinct gate object once, by
+    identity; equal gates that are separate objects must not change the
+    outcome."""
+
+    @given(circuits(max_width=6, max_gates=16))
+    @settings(max_examples=150)
+    def test_equal_gates_as_separate_objects(self, c):
+        gates = tuple(mct(g.controls, g.target) for g in c.gates * 2)
+        copy = Circuit(c.width, gates, c.insertion_point, c.bracket)
+        assert copy == Circuit(c.width, c.gates * 2)
+        assert format_circuit(copy) == format_reference(copy)
+
+    @given(circuits(max_width=6, max_gates=16), st.integers(min_value=1, max_value=6))
+    @settings(max_examples=150)
+    def test_first_offending_gate_is_named(self, c, width):
+        gates = tuple(mct(g.controls, g.target) for g in c.gates * 2)
+        bad = [g for g in gates if max(g.wires) >= width]
+        if not bad:
+            assert Circuit(width, gates).gates == gates
+            return
+        with pytest.raises(ValueError) as e:
+            Circuit(width, gates)
+        assert str(e.value) == f"gate {bad[0]} uses a wire outside width {width}"
 
 
 class TestEditing:

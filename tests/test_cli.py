@@ -9,12 +9,22 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import revident
-from revident import cli, format_circuit, load_corpus_circuit, parse_circuit
+from revident import (
+    cli,
+    eliminate_ntris,
+    format_circuit,
+    load_corpus_circuit,
+    parse_circuit,
+    remove_trivial_identities,
+)
 from revident.cli import main
 from revident.corpus import corpus_text
 
@@ -55,12 +65,12 @@ def test_simulate_prints_from_columns(rev, capsys, monkeypatch):
 
 def test_width_cap_message_names_no_keyword(rev, capsys):
     path = rev("c.rev", "wires: " + " ".join("abcdefghijklmnopq") + "\nNOT(a)")
-    for argv in (["simulate", path], ["gen-ntri", "--width", "17", "--min-len", "4"]):
+    for argv in (["simulate", path], ["gen-ntri", "--width", "17", "--min-len", "4"],
+                 ["equiv", path, path], ["reduce", path]):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            "error: width 17 needs a table of 2**17 entries; revident handles at most 16 wires\n")
+        assert captured.err == "error: width 17 is too wide; revident handles at most 16 wires\n"
 
 
 def test_cost(rev, capsys):
@@ -176,6 +186,25 @@ def test_report_json_is_golden(rev, capsys, tmp_path, spec, digest):
     assert json.loads(data)["comparisons"] == json.loads(data)["input_gates"]
 
 
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        ("NOT(a) NOT(a) CNOT(a, b)", ["--trivial-only"]),
+        ("wires: a b\nNOT(a) CNOT(a, b) NOT(a) CNOT(a, b)", []),
+        ("wires: " + " ".join("abcdefghijklmnopq") + "\nNOT(a) NOT(a) NOT(q)", ["--trivial-only"]),
+        ("wires: a b c d e f\nMCT(a, b, c, d; e) NOT(f) NOT(f)", []),
+    ],
+    ids=["trivial-only", "shared-spec", "specs-none", "cost-none"],
+)
+def test_report_json_matches_encoder(rev, capsys, tmp_path, text, argv):
+    path = rev("c.rev", text)
+    out = tmp_path / "r.json"
+    assert main(["reduce", path, "--report", str(out), *argv]) == 0
+    c = parse_circuit(text)
+    _, report = remove_trivial_identities(c) if argv else eliminate_ntris(c)
+    assert out.read_text() == json.dumps(report.to_dict(), indent=2) + "\n"
+
+
 def test_gen_random_prints_parseable_circuit(capsys):
     assert main(["gen-random", "--width", "4", "--gates", "12", "--seed", "5"]) == 0
     out1 = capsys.readouterr().out
@@ -283,6 +312,37 @@ def _outcome(argv):
         except SystemExit as e:  # argparse rejects the arguments
             code = e.code
     return code, out.getvalue(), err.getvalue()
+
+
+# Circuit text for the fuzz below: an optional header (width 17 is over
+# the cap), gate tokens, and up to two fragments that may break the text.
+_FUZZ_TEXT = st.builds(
+    lambda header, tokens: header + " ".join(tokens),
+    st.sampled_from(["", "", "wires: a b c d e\n", "wires: " + " ".join("abcdefghijklmnopq") + "\n"]),
+    st.tuples(
+        st.lists(st.sampled_from(["NOT(a)", "CNOT(a, b)", "TOF(c, b, a)", "MCT(a, b, c, d; e)"]),
+                 max_size=10),
+        st.lists(st.sampled_from(["TOF(a, a, b)", "FOO(a)", "NOT(", ";", "#", "[", "]", "$", "//",
+                                  "wires: a"]), max_size=2),
+    ).flatmap(lambda t: st.permutations(t[0] + t[1])),
+)
+
+
+@given(_FUZZ_TEXT, _FUZZ_TEXT, st.sampled_from([
+    ["simulate", "A"], ["cost", "A"], ["cost", "A", "--cost-table", "B"], ["reduce", "A"],
+    ["reduce", "A", "--trivial-only"], ["reduce", "A", "--report", "R"], ["equiv", "A", "B"],
+]))
+@settings(max_examples=200, deadline=None)
+def test_cli_fuzz_exits_cleanly(a, b, argv):
+    # every input ends in exit 0, 1 or 2, with no exception out of main
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"A": a, "B": b, "R": None}
+        for name, text in files.items():
+            if text is not None:
+                Path(tmp, name).write_text(text, encoding="utf-8")
+        code, _, err = _outcome([str(Path(tmp, x)) if x in files else x for x in argv])
+    assert code in (0, 1, 2)
+    assert (code == 2) == err.startswith("error: ")
 
 
 def test_parser_is_built_once(rev, monkeypatch):

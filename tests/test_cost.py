@@ -40,6 +40,14 @@ def test_circuit_cost_and_count():
     assert circuit_cost(c) == 1 + 1 + 5 + 13
 
 
+def test_circuit_cost_names_the_first_missing_entry():
+    c = parse_circuit("wires: a b c d e f g\nNOT(a) MCT(a, b, c, d, e, f; g) MCT(a, b, c, d; e)")
+    with pytest.raises(CostTableError) as e:
+        circuit_cost(c)
+    assert str(e.value) == "no cost entry for a 6-control gate; extend the table explicitly"
+    assert circuit_cost(c, {**DEFAULT_COST_TABLE, 4: 29, 6: 61}) == 1 + 61 + 29
+
+
 def test_empty_circuit_costs_nothing():
     c = parse_circuit("")
     assert gate_count(c) == 0 and circuit_cost(c) == 0
