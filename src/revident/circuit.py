@@ -68,8 +68,10 @@ class Gate:
     target: int
 
     def __post_init__(self) -> None:
-        controls = frozenset(self.controls)
-        object.__setattr__(self, "controls", controls)
+        controls = self.controls
+        if type(controls) is not frozenset:  # the parser already passes one
+            controls = frozenset(controls)
+            object.__setattr__(self, "controls", controls)
         if self.target < 0 or controls and min(controls) < 0:
             raise ValueError("wire indices must be non-negative")
         if self.target in controls:

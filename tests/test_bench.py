@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
-from revident import Circuit, bench, mct
+from revident import Circuit, bench, corpus, mct
+from revident.cli import main
 from revident.bench import (
     TABLE1_ROWS,
     TABLE2_ROWS,
@@ -145,3 +147,40 @@ class TestReportOutput:
         for row in TABLE2_ROWS:
             assert row.circuit_id in r2
         assert "known discrepancies" in r2
+
+
+def _count_calls(monkeypatch, module, names, counts: Counter) -> None:
+    for name in names:
+        real = getattr(module, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+
+def test_repeat_bench_all_parses_no_corpus_file(monkeypatch, capsys):
+    assert main(["bench", "all"]) == 0
+    parses = Counter()
+    _count_calls(monkeypatch, corpus, ["parse_circuit"], parses)
+    assert main(["bench", "all"]) == 0
+    assert parses["parse_circuit"] == 0
+    assert "result: pass" in capsys.readouterr().out
+
+
+# Per ``bench all``: 13 splices and 13 bracket checks, one reduction per
+# row of both suites, two simulations per table 2 row, and (gates, cost)
+# three times per table 1 row and twice per table 2 row.
+ROW_WORK = {"insert_segment": 13, "eliminate_ntris": 26, "simulate": 26, "is_identity": 13,
+            "gate_count": 65, "circuit_cost": 65, "load_corpus_circuit": 39}
+
+
+def test_every_bench_all_recomputes_every_row(monkeypatch, capsys):
+    counts = Counter()
+    _count_calls(monkeypatch, bench, ROW_WORK, counts)
+    for _ in range(3):
+        assert main(["bench", "all", "--json"]) == 0
+        assert counts == ROW_WORK
+        counts.clear()
+    capsys.readouterr()

@@ -50,6 +50,17 @@ class TestGate:
     def test_controls_are_canonical(self):
         assert Gate(frozenset({2, 1}), 0) == mct([1, 2], 0)
 
+    def test_controls_become_an_exact_frozenset(self):
+        class Controls(frozenset):
+            pass
+
+        for controls in ([2, 1], {1, 2}, (1, 2), Controls({1, 2})):
+            g = Gate(controls, 0)
+            assert type(g.controls) is frozenset and g.controls == {1, 2}, controls
+            assert hash(g) == hash(Gate(frozenset({1, 2}), 0))
+        exact = frozenset({1, 2})
+        assert Gate(exact, 0).controls is exact
+
     def test_target_in_controls_rejected(self):
         with pytest.raises(ValueError):
             Gate(frozenset({0, 1}), 1)

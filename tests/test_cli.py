@@ -13,7 +13,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import revident
@@ -335,14 +335,69 @@ _FUZZ_TEXT = st.builds(
 @settings(max_examples=200, deadline=None)
 def test_cli_fuzz_exits_cleanly(a, b, argv):
     # every input ends in exit 0, 1 or 2, with no exception out of main
+    code, err = _fuzz_outcome(a, b, argv)
+    assert code in (0, 1, 2)
+    assert (code == 2) == err.startswith("error: ")
+
+
+def _fuzz_outcome(a, b, argv):
+    """Run ``argv`` with the files A and B holding ``a`` and ``b``; an
+    argument R names a file that does not exist yet."""
     with tempfile.TemporaryDirectory() as tmp:
         files = {"A": a, "B": b, "R": None}
         for name, text in files.items():
             if text is not None:
                 Path(tmp, name).write_text(text, encoding="utf-8")
         code, _, err = _outcome([str(Path(tmp, x)) if x in files else x for x in argv])
+    return code, err
+
+
+def _int_arg(valid, invalid=()):
+    """An int in the range ``valid``, or about one time in eight one of
+    ``invalid``."""
+    choice = st.integers(*valid)
+    if invalid:
+        choice = st.integers(0, 7).flatmap(
+            lambda k: st.sampled_from(invalid) if k == 7 else st.integers(*valid))
+    return choice.map(str)
+
+
+def _optional(flag, value):
+    return st.one_of(value.map(lambda v: [flag, v]), st.just([]))
+
+
+# One strategy per command, drawn with equal weight.  A file pair "A A"
+# gives circuits of equal width, so that the splice itself is reached.
+_FUZZ_ARGV = st.sampled_from([
+    # --at: negative, in range and past the end; without it the host's # marker
+    st.builds(lambda files, at: ["insert", *files, *at],
+              st.sampled_from([["A", "B"], ["A", "A"]]), _optional("--at", _int_arg((-3, 30)))),
+    st.sampled_from([["concat", "A", "B"], ["concat", "A", "A"]]),
+    st.builds(lambda suite, json_flag: ["bench", suite, *json_flag],
+              st.sampled_from(["table1", "table2", "all", "table3", "ALL", ""]),
+              st.sampled_from([[], ["--json"]])),
+    st.builds(lambda w, g, s, m: ["gen-random", "--width", w, "--gates", g, "--seed", s, *m],
+              _int_arg((2, 17), (-2, 0, 1)), _int_arg((0, 40), (-3, -1)), _int_arg((-1, 3)),
+              _optional("--max-controls", _int_arg((0, 5), (-1,)))),
+    # gen-ntri at width 11-16 takes 10-350 ms a call: width 16 is an example below
+    st.builds(lambda w, n, a, m: ["gen-ntri", "--width", w, "--min-len", n, "--max-attempts", a, *m],
+              _int_arg((2, 10), (-2, 0, 1, 17)), _int_arg((0, 12), (-3, -1)),
+              _int_arg((1, 3), (-1, 0)), _optional("--max-controls", _int_arg((0, 5), (-1,)))),
+    # values that argparse rejects
+    st.sampled_from([["insert", "A", "B", "--at", "x"], ["gen-random", "--width", "1.5", "--gates", "3"],
+                     ["gen-ntri", "--width", "4", "--min-len", ""], ["gen-random", "--width", "4"]]),
+]).flatmap(lambda strategy: strategy)
+
+
+@given(_FUZZ_TEXT, _FUZZ_TEXT, _FUZZ_ARGV)
+@example("", "", ["gen-ntri", "--width", "16", "--min-len", "1", "--max-attempts", "1"])
+@example("NOT(a) # NOT(b)", "NOT(a) NOT(a)", ["insert", "A", "B", "--at", "-1"])
+@settings(max_examples=200, deadline=None)
+def test_cli_fuzz_other_commands_exit_cleanly(a, b, argv):
+    # as above; an argparse rejection prints usage first, then "... error: ..."
+    code, err = _fuzz_outcome(a, b, argv)
     assert code in (0, 1, 2)
-    assert (code == 2) == err.startswith("error: ")
+    assert (code == 2) == ("error: " in err)
 
 
 def test_parser_is_built_once(rev, monkeypatch):
@@ -399,6 +454,41 @@ def test_bench_all_json(capsys):
     assert [s["suite"] for s in data["suites"]] == ["table1", "table2"]
 
 
+def _src_env() -> dict:
+    """The environment with this tree's package first on PYTHONPATH."""
+    src = str(Path(revident.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+# sha256 of stdout, as printed when every bench call parsed the corpus.
+GOLDEN_BENCH = [
+    (["bench", "all"], "0ff0bc0867de0632876b87c8cecb4da1e4ec1db644b3259cc8f05b9f1a438cde"),
+    (["bench", "all", "--json"], "9901011c1cbb704ac890582a2c16f6aaab16729f4d8a34681a8bbe1dfb1e3cd4"),
+    (["bench", "table1", "--json"], "814367279594741a2b3946f6c7061075f120c87bfe7ec55d07f6a22d35f6b00f"),
+    (["bench", "table2"], "451dbc49309293dd2a3168218417b8358aac550dff0bd50080f409033571be5b"),
+]
+
+_TWICE = """
+import contextlib, hashlib, io, sys
+from revident.cli import main
+for _ in range(2):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(sys.argv[1:])
+    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_BENCH, ids=[" ".join(a) for a, _ in GOLDEN_BENCH])
+def test_bench_output_is_golden(argv, digest):
+    # a fresh process: its first call reads and parses the corpus, the
+    # second reuses the parsed circuits
+    out = subprocess.run([sys.executable, "-c", _TWICE, *argv], env=_src_env(),
+                         capture_output=True, text=True, timeout=60, check=True).stdout
+    assert out.splitlines() == [f"0 {digest}"] * 2
+
+
 def test_circuit_output_reparses(rev, capsys):
     path = rev("c.rev", corpus_text("app1_1a"))
     assert main(["reduce", path]) == 0
@@ -409,15 +499,12 @@ def test_circuit_output_reparses(rev, capsys):
 
 
 def test_broken_pipe_exits_1_without_traceback(tmp_path):
-    src = str(Path(revident.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     err_path = tmp_path / "err.txt"
     with open(err_path, "wb") as err:
         proc = subprocess.Popen(
             [sys.executable, "-m", "revident.cli", "gen-random",
              "--width", "4", "--gates", "30000"],
-            stdout=subprocess.PIPE, stderr=err, env=env,
+            stdout=subprocess.PIPE, stderr=err, env=_src_env(),
         )
         proc.stdout.read(10)
         proc.stdout.close()

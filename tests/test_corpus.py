@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from revident import (
@@ -11,6 +13,7 @@ from revident import (
     load_corpus_circuit,
     parse_circuit,
 )
+from revident import corpus
 from revident.corpus import SUITE1_IDS, SUITE2_IDS
 
 MARKER_GAPS = {
@@ -47,6 +50,30 @@ def test_every_file_parses_to_width_four():
 def test_unknown_id():
     with pytest.raises(KeyError):
         corpus_text("app3_1")
+
+
+# The first three named a readable .rev file while ids were joined to the
+# corpus directory unchecked; the others are near misses and non-strings.
+_ABSOLUTE = str(Path(corpus.__file__).with_name("corpus") / "app1_1a")
+
+
+@pytest.mark.parametrize("cid", [
+    "./app1_1a", "../corpus/app1_1a", _ABSOLUTE, "app1_1a.rev", "APP1_1A", "app1_1a ", "",
+    Path("app1_1a"), ["app1_1a"], None,
+])
+@pytest.mark.parametrize("load", [corpus_text, load_corpus_circuit])
+def test_ids_outside_the_corpus_are_rejected(load, cid):
+    with pytest.raises(KeyError) as info:
+        load(cid)
+    assert info.value.args == (f"no corpus circuit {cid!r}",)
+    assert set(corpus._CIRCUITS) <= set(corpus_ids())
+
+
+def test_each_circuit_is_shared():
+    first = {cid: load_corpus_circuit(cid) for cid in corpus_ids()}
+    for cid in corpus_ids():
+        assert load_corpus_circuit(cid) is first[cid], cid
+        assert first[cid] == parse_circuit(corpus_text(cid)), cid
 
 
 def test_host_markers():
