@@ -126,6 +126,8 @@ def synthesize_inverse(spec: Specification, width: int) -> Circuit:
 
     for x in range(1 << width):
         y = current[x]
+        if y == x:  # already fixed: no gate to add
+            continue
         for b in _bits(x & ~y):
             apply(frozenset(_bits(current[x])), b)
         x_controls = frozenset(_bits(x))

@@ -21,17 +21,11 @@ share one removal discipline:
   equals the old prefix ``i+k``, so the restarted scan carries on as
   though gate ``i+1`` followed gate ``j``.  One pass over the input
   prefixes with a stack of kept gates, cut back to ``j`` on each hit,
-  therefore makes the same removals in the same order.  The kept
-  prefixes are distinct, so the one ``j`` the paper's ascending search
-  would find is the one candidate that confirms: prefixes are looked up
-  by fingerprint (see ``semantics``), and a candidate is confirmed
-  exactly, by simulating the span it would delete from the identity (or,
-  for the empty prefix, by comparing the live columns with the
-  identity).  Each input
-  gate costs one gate application, one column hash and one lookup, and
-  the confirmations that succeed cost at most one more gate application
-  per input gate, since each deletes the span it simulated.  The paper's
-  restarting scan is kept as the test oracle.
+  therefore makes the same removals in the same order.  That pass is
+  the prefix scan of ``semantics``: the kept prefixes are distinct, so
+  the one ``j`` the paper's ascending search would find is the one
+  candidate the scan confirms.  The paper's restarting scan is kept as
+  the test oracle.
 * ``eliminate_ntris_fast`` is another name for ``eliminate_ntris``.
 
 Removal coordinates are local to the circuit as it stood when the
@@ -54,8 +48,7 @@ from .semantics import (
     Specification,
     _Columns,
     _columns,
-    _confirms,
-    _fingerprints,
+    _cuts,
     _first_repeat,
     _identity_columns,
     _table,
@@ -248,50 +241,19 @@ def eliminate_ntris(
     """Remove every identity segment, in the paper's order.
 
     The output computes the same specification as the input and is
-    irreducible: no two of its prefix specifications are equal.  Every
-    cut deletes an identity, so after input gate ``i`` the kept gates
-    compute input prefix ``i``, and one pass over the input prefixes
-    needs only ``kept``, the stack of kept gates, ``fps``, the
-    fingerprint of each kept prefix ``kept[:k]``, and ``index``, a dict
-    from fingerprint to the stack indices that carry it.  A candidate
-    ``j`` is confirmed by simulating ``kept[j:]`` plus the new gate from
-    the identity (``j = 0`` needs no simulation); kept prefixes are
-    distinct, so at most one confirms.  A hit against ``j`` is the hit a
-    restarted scan would find first; cutting the stack back to ``j`` is
-    where that scan would carry on.  A circuit of m gates takes m gate
-    applications, m column hashes and m dict lookups, plus at most m
-    gate applications across all the confirmations that succeed, since
-    each deletes the span it simulated.  The report's specifications are
-    built from the final columns only when read."""
+    irreducible: no two of its prefix specifications are equal.  One pass
+    of the prefix scan ``semantics._cuts`` over the input makes every
+    removal: each cut against kept prefix ``j`` is the hit a restarted
+    scan would find first, and cutting the stack of kept gates back to
+    ``j`` is where that scan would carry on.  A circuit of m gates takes
+    m gate applications, m column hashes and m lookups, plus at most m
+    gate applications across the confirmations that succeed.  The
+    report's specifications are built from the final columns only when
+    read."""
     cols = _identity_columns(c.width, max_width)
-    identity = cols.copy()
-    steps = _fingerprints(cols, c.gates)
-    fp = next(steps)
     kept: list[Gate] = []
-    fps = [fp]
-    index: dict[int, list[int]] = {fp: [0]}
-    removals: list[Removal] = []
-    for g, fp in zip(c.gates, steps):
-        candidates = index.setdefault(fp, [])
-        for j in candidates:
-            span = kept[j:]
-            span.append(g)
-            if _confirms(identity, cols, j, span):
-                break
-        else:
-            kept.append(g)
-            candidates.append(len(kept))
-            fps.append(fp)
-            continue
-        i = len(kept) + 1
-        removals.append(Removal(j, i, i - j, _maybe_cost(span, table)))
-        del kept[j:]
-        for f in fps[j + 1:]:  # each list ends with its newest index
-            candidates = index[f]
-            candidates.pop()
-            if not candidates:
-                del index[f]
-        del fps[j + 1:]
+    removals = [Removal(j, j + len(span), len(span), _maybe_cost(span, table))
+                for j, span in _cuts(cols, c.gates, kept)]
     spec = _FinalColumns(cols)
     return _report(c, kept, len(removals) + 1, removals, len(c.gates), table, spec, spec)
 

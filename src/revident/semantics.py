@@ -18,18 +18,23 @@ and the text is assembled in bulk byte operations, with no tuple and no
 ``_spread``.  Widths above ``DEFAULT_WIDTH_CAP`` are rejected unless the
 caller raises ``max_width``.
 
-Prefixes are looked up by fingerprint, so a scan keeps one live set of
-columns rather than one per prefix.  The prefix scan ``_fingerprints``
-keys each prefix by ``sum(r_k * hash(col_k))`` with fixed pseudo-random
-multipliers ``r_k`` (Karp-Rabin fingerprinting; the int hash of a column
-is its value mod ``2**61 - 1``), so a gate costs one application and one
-hash of its target column.  Equal prefixes always share a fingerprint; a
-shared fingerprint is confirmed exactly by ``_confirms``: the empty
-prefix is compared with the live columns directly, any other by
-simulating the gates between the two prefixes from the identity
+The one prefix scan is ``_cuts``: it fingerprints each prefix, keeps an
+index from fingerprint to the kept prefixes that carry it, confirms a
+candidate exactly and cuts the caller's stack of kept gates back to the
+hit.  A scan thus keeps one live set of columns rather than one per
+prefix.  ``_fingerprints`` keys each prefix by ``sum(r_k * hash(col_k))``
+with fixed pseudo-random multipliers ``r_k`` (Karp-Rabin fingerprinting;
+the int hash of a column is its value mod ``2**61 - 1``), so a gate costs
+one application and one hash of its target column.  Equal prefixes
+always share a fingerprint; a shared fingerprint is confirmed exactly:
+the empty prefix is compared with the live columns directly, any other
+by simulating the gates between the two prefixes from the identity
 (``_spans_identity``).  A collision therefore costs time, never a wrong
-answer.  ``_spans_identity`` also decides ``is_identity`` and
-``equivalent``.
+answer.  The scan has three users: ``reduce.eliminate_ntris`` takes
+every cut, and ``reduce.is_irreducible`` and
+``generate.is_interior_irreducible`` take the first, through
+``_first_repeat``.  ``_spans_identity`` also decides ``is_identity``
+and ``equivalent``.
 """
 
 from __future__ import annotations
@@ -121,13 +126,6 @@ def _spans_identity(identity: _Columns, gates: Iterable[Gate]) -> bool:
     return _run(identity.copy(), gates) == identity
 
 
-def _confirms(identity: _Columns, cols: _Columns, j: int, span: Iterable[Gate]) -> bool:
-    """True when prefix ``j`` equals the live prefix ``cols``, ``span``
-    being the gates between them.  Prefix 0 is the identity itself; any
-    other is compared by simulating ``span`` from the identity."""
-    return cols == identity if j == 0 else _spans_identity(identity, span)
-
-
 # Wire k's column hash is weighted by a fixed pseudo-random multiplier
 # below 2**61 - 1, the modulus of CPython's int hash.  A width needs 2**width
 # bits per column, so 64 wires are more than any width can reach.
@@ -141,7 +139,7 @@ def _fingerprints(cols: _Columns, gates: Iterable[Gate]) -> Iterator[int]:
     gates to ``cols`` in place.  A fingerprint is the exact integer
     ``sum(r_k * hash(cols[k]))``, so a gate rehashes only its target
     column.  Equal prefixes have equal fingerprints; a shared fingerprint
-    is only a candidate, to be confirmed with ``_confirms``."""
+    is only a candidate, which ``_cuts`` confirms."""
     hashes = list(map(_column_hash, cols))
     fp = sum(map(mul, _MULTIPLIERS, hashes))
     yield fp
@@ -257,24 +255,51 @@ def prefix_trace(c: Circuit, *, max_width: int = DEFAULT_WIDTH_CAP) -> tuple[Spe
     return (_table(cols),) + tuple(_table(_run(cols, (g,))) for g in c.gates)
 
 
+def _cuts(cols: _Columns, gates: Iterable[Gate], kept: list[Gate]) -> Iterator[tuple[int, list[Gate]]]:
+    """The prefix scan with cuts.  ``cols``, the identity's columns, take
+    each of ``gates`` in place; ``kept``, empty at the start, is the
+    stack of gates kept so far.  When a new prefix equals kept prefix
+    ``kept[:j]``, yield ``(j, span)``, ``span`` being the gates between
+    them (the new gate last), then cut ``kept`` back to ``j``; otherwise
+    push the gate.  Every cut deletes an identity, so ``cols`` always
+    holds the kept prefix and the kept prefixes are distinct: the index
+    maps a fingerprint to the stack indices that carry it, at most one
+    candidate confirms, and each confirmation that succeeds simulates
+    gates the cut then deletes."""
+    identity = cols.copy()
+    steps = _fingerprints(cols, gates)
+    fp = next(steps)
+    fps = [fp]  # fps[k] is the fingerprint of kept[:k]
+    index: dict[int, list[int]] = {fp: [0]}
+    for g, fp in zip(gates, steps):
+        candidates = index.setdefault(fp, [])
+        for j in candidates:
+            span = kept[j:]
+            span.append(g)
+            if cols == identity if j == 0 else _spans_identity(identity, span):
+                break
+        else:
+            kept.append(g)
+            candidates.append(len(kept))
+            fps.append(fp)
+            continue
+        yield j, span
+        del kept[j:]
+        for f in fps[j + 1:]:  # each list ends with its newest index
+            candidates = index[f]
+            candidates.pop()
+            if not candidates:
+                del index[f]
+        del fps[j + 1:]
+
+
 def _first_repeat(c: Circuit, max_width: int) -> "tuple[int, int] | None":
     """The first pair ``(j, i)``, ``j < i``, of equal prefix specifications,
     smallest ``i`` first, or None when all ``len(c) + 1`` prefixes are
-    distinct.  The scan stops at the hit.  Prefixes before ``i`` are
-    distinct, so at most one candidate ``j`` with ``i``'s fingerprint
-    confirms."""
-    cols = _identity_columns(c.width, max_width)
-    identity = cols.copy()
-    seen: dict[int, list[int]] = {}
-    for i, fp in enumerate(_fingerprints(cols, c.gates)):
-        candidates = seen.get(fp)
-        if candidates is None:
-            seen[fp] = [i]
-            continue
-        for j in candidates:
-            if _confirms(identity, cols, j, c.gates[j:i]):
-                return j, i
-        candidates.append(i)
+    distinct: the scan's first cut, where the scan stops.  Before it the
+    kept gates are the input's, so the cut's span is ``c.gates[j:i]``."""
+    for j, span in _cuts(_identity_columns(c.width, max_width), c.gates, []):
+        return j, j + len(span)
     return None
 
 

@@ -186,6 +186,25 @@ def test_report_json_is_golden(rev, capsys, tmp_path, spec, digest):
     assert json.loads(data)["comparisons"] == json.loads(data)["input_gates"]
 
 
+# gen-ntri stdout, (width, seed, sha256), each --min-len 12 --max-attempts 3:
+# synthesize_inverse skips rows already fixed, which must add no gate
+GOLDEN_NTRIS = [
+    (11, 1, "57ebe0b4260806e8d3c6f1aaac7806a29028aec68ba4497f72d7489f7e245f14"),
+    (11, 2, "bef49b93c50f27c4d86d0adac683cdafd9e7fb94a4cc92e0ce444b997a463ee2"),
+    (13, 1, "a76ab9836eb94fd9af6b1e513f8b628c440452a0fddd8c763984261c8b5ebb2a"),
+    (13, 2, "629bc699a87560a8e9961565a38dda1d70e197f8d754d55a5dd070c037370982"),
+    (16, 1, "9a9dabbba395cbc1471e3e582fc48885878fc8c4b37680c8c2c7979a9a606c30"),
+    (16, 2, "cc1cb4b542f25036dacb11ac5025e072a1491268a94039a25bef2292a61ad7ea"),
+]
+
+
+@pytest.mark.parametrize("width, seed, digest", GOLDEN_NTRIS, ids=[f"w{w}-s{s}" for w, s, _ in GOLDEN_NTRIS])
+def test_gen_ntri_output_is_golden(capsys, width, seed, digest):
+    argv = ["gen-ntri", "--width", str(width), "--min-len", "12", "--max-attempts", "3", "--seed", str(seed)]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "text, argv",
     [
@@ -379,9 +398,8 @@ _FUZZ_ARGV = st.sampled_from([
     st.builds(lambda w, g, s, m: ["gen-random", "--width", w, "--gates", g, "--seed", s, *m],
               _int_arg((2, 17), (-2, 0, 1)), _int_arg((0, 40), (-3, -1)), _int_arg((-1, 3)),
               _optional("--max-controls", _int_arg((0, 5), (-1,)))),
-    # gen-ntri at width 11-16 takes 10-350 ms a call: width 16 is an example below
     st.builds(lambda w, n, a, m: ["gen-ntri", "--width", w, "--min-len", n, "--max-attempts", a, *m],
-              _int_arg((2, 10), (-2, 0, 1, 17)), _int_arg((0, 12), (-3, -1)),
+              _int_arg((2, 16), (-2, 0, 1, 17)), _int_arg((0, 12), (-3, -1)),
               _int_arg((1, 3), (-1, 0)), _optional("--max-controls", _int_arg((0, 5), (-1,)))),
     # values that argparse rejects
     st.sampled_from([["insert", "A", "B", "--at", "x"], ["gen-random", "--width", "1.5", "--gates", "3"],

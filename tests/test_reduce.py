@@ -17,7 +17,9 @@ from revident import (
     eliminate_ntris,
     eliminate_ntris_fast,
     gen_random_circuit,
+    gen_random_ntri,
     is_identity,
+    is_interior_irreducible,
     is_irreducible,
     mct,
     parse_circuit,
@@ -272,10 +274,19 @@ class TestFingerprintIndex:
 
     @pytest.mark.parametrize("constant", [False, True], ids=["real", "constant"])
     def test_first_repeat_matches_bruteforce(self, monkeypatch, constant):
+        # generated NTRIs hit only as a whole: the first repeat is (0, m)
+        ntris = [gen_random_ntri(GeneratorConfig(width=w, min_length=2 * w, seed=s))
+                 for w in (3, 4, 5) for s in range(6)]
         if constant:
             monkeypatch.setattr(semantics, "_column_hash", lambda col: 0)
-        for c in [*_reference_cases(), *_late_hit_cases()]:
-            assert _first_repeat(c, 16) == first_hit(list(c.gates), c.width)
+        for c in [*_reference_cases(), *_late_hit_cases(), *ntris]:
+            hit = _first_repeat(c, 16)
+            assert hit == first_hit(list(c.gates), c.width)
+            removals = eliminate_ntris(c)[1].removals
+            assert hit == ((removals[0].start_gap, removals[0].end_index) if removals else None)
+        for c in ntris:
+            assert _first_repeat(c, 16) == (0, len(c.gates))
+            assert is_interior_irreducible(c)
 
     def test_peak_memory_at_width_16(self):
         c = gen_random_circuit(GeneratorConfig(width=16, gates=500, seed=3))
