@@ -51,7 +51,6 @@ from .semantics import (
     invert_spec,
     is_identity,
     is_permutation,
-    prefix_trace,
     simulate,
 )
 

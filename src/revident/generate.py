@@ -17,9 +17,13 @@ from .circuit import Circuit, Gate
 from .semantics import (
     DEFAULT_WIDTH_CAP,
     Specification,
+    _Columns,
     _first_repeat,
+    _identity_columns,
+    _run,
+    _slice,
+    _start,
     is_permutation,
-    simulate,
 )
 
 __all__ = [
@@ -111,29 +115,31 @@ def synthesize_inverse(spec: Specification, width: int) -> Circuit:
     """
     if len(spec) != 1 << width or not is_permutation(spec):
         raise ValueError(f"not a permutation of 0..{(1 << width) - 1}")
-    current = list(spec)
+    return Circuit(width, tuple(_synthesize(_slice(spec))))
+
+
+def _synthesize(cols: _Columns) -> list[Gate]:
+    """``synthesize_inverse``'s gates for the specification whose columns
+    are ``cols``, applied to ``cols`` in place until they are the
+    identity's.  The next input to fix is the lowest set bit of
+    ``OR_k(cols[k] ^ identity[k])``, every input below it being fixed."""
+    identity = _start(len(cols)).identity
     gates: list[Gate] = []
-
-    def apply(controls: frozenset[int], target: int) -> None:
-        gates.append(Gate(controls, target))
-        mask = 0
-        for c in controls:
-            mask |= 1 << c
-        tbit = 1 << target
-        for idx, v in enumerate(current):
-            if v & mask == mask:
-                current[idx] = v ^ tbit
-
-    for x in range(1 << width):
-        y = current[x]
-        if y == x:  # already fixed: no gate to add
-            continue
+    while True:
+        unfixed = 0
+        for col, fixed in zip(cols, identity):
+            unfixed |= col ^ fixed
+        if not unfixed:
+            return gates
+        x = (unfixed & -unfixed).bit_length() - 1
+        y = sum((col >> x & 1) << k for k, col in enumerate(cols))
+        new = len(gates)
         for b in _bits(x & ~y):
-            apply(frozenset(_bits(current[x])), b)
+            gates.append(Gate(frozenset(_bits(y)), b))
+            y |= 1 << b
         x_controls = frozenset(_bits(x))
-        for b in _bits(current[x] & ~x):
-            apply(x_controls, b)
-    return Circuit(width, tuple(gates))
+        gates += [Gate(x_controls, b) for b in _bits(y & ~x)]
+        _run(cols, gates[new:])
 
 
 def is_interior_irreducible(c: Circuit, *, max_width: int = DEFAULT_WIDTH_CAP) -> bool:
@@ -157,9 +163,9 @@ def gen_random_ntri(cfg: GeneratorConfig) -> Circuit:
     for attempt in range(cfg.max_attempts):
         count = base + attempt // 100
         gates = _random_gates(rng, cfg.width, count, cfg.max_controls, True)
-        half = Circuit(cfg.width, tuple(gates))
-        inv = synthesize_inverse(simulate(half), cfg.width)
-        whole = Circuit(cfg.width, half.gates + inv.gates)
+        half = _run(_identity_columns(cfg.width, DEFAULT_WIDTH_CAP), gates)
+        gates += _synthesize(half)
+        whole = Circuit(cfg.width, tuple(gates))
         if len(whole.gates) >= cfg.min_length and is_interior_irreducible(whole):
             return whole
     raise GeneratorError(

@@ -15,8 +15,17 @@ Where it leaves as text, ``_spec_text`` makes ``format_spec``'s text
 straight from the columns: the decimal digits are computed bit-sliced
 and the text is assembled in bulk byte operations, with no tuple and no
 ``str`` per entry.  Both boundaries turn columns into byte planes with
-``_spread``.  Widths above ``DEFAULT_WIDTH_CAP`` are rejected unless the
-caller raises ``max_width``.
+``_spread``; ``_slice`` is ``_table``'s inverse.  Widths above
+``DEFAULT_WIDTH_CAP`` are rejected unless the caller raises
+``max_width``, before anything is built.
+
+No specification is kept between calls.  What depends only on the width
+is built by ``_start`` on first use and kept for the process, one
+``_Start`` per width used: the identity's columns as a tuple, their
+column hashes and fingerprint, the mask of all inputs and the byte plane
+of ones.  At width 16 that is about 220 KB.  ``_identity_columns`` hands
+out a fresh list copy of the identity, so a walk never alters the kept
+one.
 
 The one prefix scan is ``_cuts``: it fingerprints each prefix, keeps an
 index from fingerprint to the kept prefixes that carry it, confirms a
@@ -41,6 +50,7 @@ from __future__ import annotations
 
 import random
 import struct
+from functools import cache
 from operator import mul
 from typing import Iterable, Iterator
 
@@ -56,7 +66,6 @@ __all__ = [
     "format_spec",
     "gate_permutation",
     "simulate",
-    "prefix_trace",
     "is_identity",
     "equivalent",
 ]
@@ -92,26 +101,63 @@ def format_spec(spec: Specification) -> str:
     return "[" + ",".join(str(v) for v in spec) + "]"
 
 
+# Wire k's column hash is weighted by a fixed pseudo-random multiplier
+# below 2**61 - 1, the modulus of CPython's int hash.  A width needs 2**width
+# bits per column, so 64 wires are more than any width can reach.
+_MULTIPLIERS = tuple(random.Random(20110122).sample(range(1, (1 << 61) - 1), 64))
+_column_hash = hash
+
+
+class _Start:
+    """What every walk over ``width`` wires starts from, built by
+    ``_start`` once per width and process: the identity's columns (built
+    one wire wider per step), the mask ``everywhere`` of all ``2**width``
+    inputs, the byte plane ``ones`` of ``_spread``, and the identity's
+    column hashes and fingerprint.  At width 16 that is about 220 KB."""
+
+    __slots__ = ("identity", "everywhere", "ones", "_hashed")
+
+    def __init__(self, width: int) -> None:
+        cols: _Columns = []
+        for w in range(width):
+            half = 1 << w
+            cols = [col | col << half for col in cols]
+            cols.append(((1 << half) - 1) << half)
+        self.identity = tuple(cols)
+        size = 1 << width
+        self.everywhere = (1 << size) - 1
+        self.ones = int.from_bytes(b"\1" * size, "big")
+        self._hashed = None, (), 0
+
+    def fingerprint(self) -> tuple[tuple[int, ...], int]:
+        """The identity's column hashes and fingerprint, kept together
+        with the ``_column_hash`` that made them and remade when it is
+        no longer the current one."""
+        if self._hashed[0] is not _column_hash:
+            hashes = tuple(map(_column_hash, self.identity))
+            self._hashed = _column_hash, hashes, sum(map(mul, _MULTIPLIERS, hashes))
+        return self._hashed[1:]
+
+
+_start = cache(_Start)
+
+
 def _identity_columns(width: int, max_width: int) -> _Columns:
-    """The bit-sliced identity on ``width`` wires, built one wire wider
-    per step; every walk over a circuit starts here."""
+    """A fresh list of the bit-sliced identity's columns on ``width``
+    wires; every walk over a circuit starts here.  The width is checked
+    before anything is built or kept."""
     if width > max_width:
         raise WidthCapExceeded(
             f"width {width} needs a table of 2**{width} entries; "
             f"pass max_width={width} to allow it"
         )
-    cols: _Columns = []
-    for w in range(width):
-        half = 1 << w
-        cols = [col | col << half for col in cols]
-        cols.append(((1 << half) - 1) << half)
-    return cols
+    return list(_start(width).identity)
 
 
 def _run(cols: _Columns, gates: Iterable[Gate]) -> _Columns:
     """Apply ``gates`` in order to the columns ``cols``, in place, and
     return ``cols``."""
-    everywhere = (1 << (1 << len(cols))) - 1
+    everywhere = _start(len(cols)).everywhere
     for g in gates:
         fire = everywhere
         for w in g.controls:
@@ -120,30 +166,25 @@ def _run(cols: _Columns, gates: Iterable[Gate]) -> _Columns:
     return cols
 
 
-def _spans_identity(identity: _Columns, gates: Iterable[Gate]) -> bool:
+def _spans_identity(cols: _Columns, gates: Iterable[Gate]) -> bool:
     """True when ``gates`` compose to the identity, checked exactly by
-    simulating them from ``identity``, the identity's columns."""
-    return _run(identity.copy(), gates) == identity
-
-
-# Wire k's column hash is weighted by a fixed pseudo-random multiplier
-# below 2**61 - 1, the modulus of CPython's int hash.  A width needs 2**width
-# bits per column, so 64 wires are more than any width can reach.
-_MULTIPLIERS = tuple(random.Random(20110122).sample(range(1, (1 << 61) - 1), 64))
-_column_hash = hash
+    simulating them on ``cols``, a fresh list of the identity's columns."""
+    return tuple(_run(cols, gates)) == _start(len(cols)).identity
 
 
 def _fingerprints(cols: _Columns, gates: Iterable[Gate]) -> Iterator[int]:
-    """The prefix scan: the fingerprint of ``cols`` as given, then of
-    ``cols`` after each gate, ``len(gates) + 1`` in all, applying the
-    gates to ``cols`` in place.  A fingerprint is the exact integer
-    ``sum(r_k * hash(cols[k]))``, so a gate rehashes only its target
-    column.  Equal prefixes have equal fingerprints; a shared fingerprint
-    is only a candidate, which ``_cuts`` confirms."""
-    hashes = list(map(_column_hash, cols))
-    fp = sum(map(mul, _MULTIPLIERS, hashes))
+    """The prefix scan: the fingerprint of ``cols``, the identity's
+    columns, then of ``cols`` after each gate, ``len(gates) + 1`` in all,
+    applying the gates to ``cols`` in place.  A fingerprint is the exact
+    integer ``sum(r_k * hash(cols[k]))``, so a gate rehashes only its
+    target column, and the identity's is kept per width.  Equal prefixes
+    have equal fingerprints; a shared fingerprint is only a candidate,
+    which ``_cuts`` confirms."""
+    start = _start(len(cols))
+    hashes, fp = start.fingerprint()
+    hashes = list(hashes)
     yield fp
-    everywhere = (1 << (1 << len(cols))) - 1
+    everywhere = start.everywhere
     for g in gates:  # _run's gate application, inlined in the hot loop
         fire = everywhere
         for w in g.controls:
@@ -159,7 +200,8 @@ def _fingerprints(cols: _Columns, gates: Iterable[Gate]) -> Iterator[int]:
 def _spread(cols: _Columns, size: int, ones: int) -> int:
     """Up to eight columns as one byte plane: bit ``b`` of byte ``x``
     (little-endian) is bit ``x`` of ``cols[b]``.  ``ones`` has every byte
-    of ``size`` bytes set to 1.  All-zero columns are skipped."""
+    of ``size`` bytes set to 1 (``_Start.ones``).  All-zero columns are
+    skipped."""
     plane = 0
     binary = f"0{size}b"  # one b"0"/b"1" per byte, input size-1 first
     for b, col in enumerate(cols):
@@ -172,11 +214,26 @@ def _table(cols: _Columns) -> Specification:
     """The tuple form of bit-sliced columns: byte ``x`` of a plane holds
     input ``x``'s bits of eight columns, read back as 32-bit entries."""
     size = 1 << len(cols)
-    ones = int.from_bytes(b"\1" * size, "big")
+    ones = _start(len(cols)).ones
     entries = bytearray(4 * size)
     for p in range(0, len(cols), 8):
         entries[p // 8::4] = _spread(cols[p:p + 8], size, ones).to_bytes(size, "little")
     return struct.unpack(f"<{size}I", entries)
+
+
+# _BIT_CHARS[b] maps a byte to b"1" when its bit b is set, else to b"0".
+_BIT_CHARS = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
+
+
+def _slice(spec: Specification) -> _Columns:
+    """``_table``'s inverse: the columns of a specification.  Byte ``x``
+    of an entry plane holds bits ``8p..8p+7`` of ``spec[x]``; one
+    translation per column turns a bit of each byte into the column's
+    binary digits, input 0 last."""
+    size = len(spec)
+    entries = struct.pack(f"<{size}I", *spec)
+    return [int(entries[k // 8::4].translate(_BIT_CHARS[k % 8])[::-1], 2)
+            for k in range(size.bit_length() - 1)]
 
 
 # Byte values of the text planes: the units plane holds digits 0-9, and
@@ -210,7 +267,7 @@ def _spec_text(cols: _Columns) -> str:
                 bcd[j:j + 4] = d0 ^ add, d1 ^ add ^ c0, d2 ^ c1, d3 ^ c2
         bcd.insert(0, col)  # shift left by one bit, bringing in col
         bcd.pop()
-    ones = int.from_bytes(b"\1" * size, "big")
+    ones = _start(len(cols)).ones
     stride = digits + 1  # input x's digits and comma start at 1 + stride * x
     text = bytearray(b"[") + bytearray(b",") * (stride * size)
     above = 0  # inputs with a nonzero digit above digit j
@@ -248,13 +305,6 @@ def _columns(c: Circuit, max_width: int) -> _Columns:
     return _run(_identity_columns(c.width, max_width), c.gates)
 
 
-def prefix_trace(c: Circuit, *, max_width: int = DEFAULT_WIDTH_CAP) -> tuple[Specification, ...]:
-    """Specifications of every gate prefix: entry ``i`` covers gates
-    1..i, entry 0 is the identity.  Length is ``len(c) + 1``."""
-    cols = _identity_columns(c.width, max_width)
-    return (_table(cols),) + tuple(_table(_run(cols, (g,))) for g in c.gates)
-
-
 def _cuts(cols: _Columns, gates: Iterable[Gate], kept: list[Gate]) -> Iterator[tuple[int, list[Gate]]]:
     """The prefix scan with cuts.  ``cols``, the identity's columns, take
     each of ``gates`` in place; ``kept``, empty at the start, is the
@@ -266,7 +316,7 @@ def _cuts(cols: _Columns, gates: Iterable[Gate], kept: list[Gate]) -> Iterator[t
     maps a fingerprint to the stack indices that carry it, at most one
     candidate confirms, and each confirmation that succeeds simulates
     gates the cut then deletes."""
-    identity = cols.copy()
+    identity = _start(len(cols)).identity
     steps = _fingerprints(cols, gates)
     fp = next(steps)
     fps = [fp]  # fps[k] is the fingerprint of kept[:k]
@@ -276,7 +326,7 @@ def _cuts(cols: _Columns, gates: Iterable[Gate], kept: list[Gate]) -> Iterator[t
         for j in candidates:
             span = kept[j:]
             span.append(g)
-            if cols == identity if j == 0 else _spans_identity(identity, span):
+            if tuple(cols) == identity if j == 0 else _spans_identity(list(identity), span):
                 break
         else:
             kept.append(g)

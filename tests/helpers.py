@@ -2,9 +2,12 @@
 
 The simulation oracle evaluates gates per input pattern with plain bit
 twiddling, deliberately avoiding the library's bit-sliced columns so the
-two routes check each other.  The elimination oracle is the paper's
-restarting scan, carried out literally on top of it.  The text oracles
-are the parser and formatter that handled one gate token at a time.
+two routes check each other; ``prefix_trace`` is the definition of the
+prefix specifications on top of it.  The elimination oracle is the
+paper's restarting scan, carried out literally on top of it.  The text
+oracles are the parser and formatter that handled one gate token at a
+time, and the synthesis oracle is the inverse synthesis that walked the
+specification as a list.
 """
 
 from __future__ import annotations
@@ -12,7 +15,16 @@ from __future__ import annotations
 import random
 import re
 
-from revident import Circuit, Gate, GeneratorConfig, ParseError, ReductionReport, Removal, gen_random_ntri
+from revident import (
+    Circuit,
+    Gate,
+    GeneratorConfig,
+    ParseError,
+    ReductionReport,
+    Removal,
+    gen_random_ntri,
+    is_permutation,
+)
 from revident.cost import DEFAULT_COST_TABLE, CostTableError, gate_cost
 
 try:  # hypothesis is a test-only dependency
@@ -35,6 +47,17 @@ def simulate_bruteforce(c: Circuit) -> tuple[int, ...]:
             v = eval_gate(g, v)
         out.append(v)
     return tuple(out)
+
+
+def prefix_trace(c: Circuit) -> tuple[tuple[int, ...], ...]:
+    """Specifications of every gate prefix: entry ``i`` covers gates
+    1..i, entry 0 is the identity.  Length is ``len(c) + 1``."""
+    spec = tuple(range(1 << c.width))
+    trace = [spec]
+    for g in c.gates:
+        spec = tuple(eval_gate(g, v) for v in spec)
+        trace.append(spec)
+    return tuple(trace)
 
 
 def first_hit(gates: list[Gate], width: int) -> tuple[int, int] | None:
@@ -81,6 +104,41 @@ def eliminate_reference(c: Circuit, table=DEFAULT_COST_TABLE) -> tuple[Circuit, 
         input_spec=simulate_bruteforce(c),
         output_spec=simulate_bruteforce(out),
     )
+
+
+def _bits(x: int) -> list[int]:
+    return [b for b in range(x.bit_length()) if x >> b & 1]
+
+
+def synthesize_inverse_reference(spec: tuple[int, ...], width: int) -> Circuit:
+    """The list version that ``synthesize_inverse`` replaced, kept as its
+    oracle: the same gates, found by walking and updating the image of
+    every input once per synthesized gate."""
+    if len(spec) != 1 << width or not is_permutation(spec):
+        raise ValueError(f"not a permutation of 0..{(1 << width) - 1}")
+    current = list(spec)
+    gates: list[Gate] = []
+
+    def apply(controls: frozenset[int], target: int) -> None:
+        gates.append(Gate(controls, target))
+        mask = 0
+        for c in controls:
+            mask |= 1 << c
+        tbit = 1 << target
+        for idx, v in enumerate(current):
+            if v & mask == mask:
+                current[idx] = v ^ tbit
+
+    for x in range(1 << width):
+        y = current[x]
+        if y == x:  # already fixed: no gate to add
+            continue
+        for b in _bits(x & ~y):
+            apply(frozenset(_bits(current[x])), b)
+        x_controls = frozenset(_bits(x))
+        for b in _bits(current[x] & ~x):
+            apply(x_controls, b)
+    return Circuit(width, tuple(gates))
 
 
 _ARITY = {"NOT": 1, "CNOT": 2, "TOF": 3, "TOF4": 4}

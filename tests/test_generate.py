@@ -21,6 +21,10 @@ from revident import (
     simulate,
     synthesize_inverse,
 )
+from revident.generate import _random_gates, _synthesize
+from revident.semantics import _columns
+
+from helpers import synthesize_inverse_reference
 
 
 class TestConfig:
@@ -104,6 +108,30 @@ class TestSynthesizeInverse:
         spec = simulate(Circuit(3, (g,)))
         c = synthesize_inverse(spec, 3)
         assert simulate(c) == spec  # self-inverse permutation
+
+
+class TestSynthesisMatchesListVersion:
+    """The bit-sliced synthesis makes the list version's gates, gate for
+    gate, from a specification and from a random half's columns."""
+
+    def test_random_permutations(self):
+        rng = random.Random(2003)
+        for width in (1, 2, 3, 4, 5, 6):
+            values = list(range(1 << width))
+            for _ in range(10):
+                rng.shuffle(values)
+                spec = tuple(values)
+                assert synthesize_inverse(spec, width) == synthesize_inverse_reference(spec, width)
+
+    @pytest.mark.parametrize("width, gates, seeds", [(4, 6, 40), (5, 6, 40), (8, 20, 3), (10, 30, 2), (16, 6, 1)])
+    def test_random_halves(self, width, gates, seeds):
+        for seed in range(seeds):
+            rng = random.Random(seed)
+            half = Circuit(width, tuple(_random_gates(rng, width, gates, min(3, width - 1), True)))
+            cols = _columns(half, 16)
+            expected = synthesize_inverse_reference(simulate(half), width)
+            assert tuple(_synthesize(cols)) == expected.gates
+            assert is_identity(Circuit(width, half.gates + expected.gates))
 
 
 class TestRandomNtri:

@@ -23,7 +23,6 @@ from revident import (
     is_irreducible,
     mct,
     parse_circuit,
-    prefix_trace,
     remove_trivial_identities,
     simulate,
 )
@@ -31,7 +30,7 @@ from revident import semantics
 from revident.bench import surviving_indices
 from revident.semantics import _first_repeat
 
-from helpers import eliminate_reference, first_hit, late_hit_circuit, random_circuit
+from helpers import eliminate_reference, first_hit, late_hit_circuit, prefix_trace, random_circuit
 
 GOLDEN = "wires: a b c\nCNOT(b, a) TOF(a, b, c) CNOT(c, b) CNOT(c, b) TOF(a, b, c)"
 

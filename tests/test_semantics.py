@@ -29,13 +29,13 @@ from revident import (
     is_permutation,
     mct,
     parse_circuit,
-    prefix_trace,
     simulate,
 )
 
-from revident.semantics import _columns, _spec_text, _table
+from revident import semantics
+from revident.semantics import _columns, _identity_columns, _slice, _spec_text, _start, _table
 
-from helpers import all_gates, circuits, random_circuit, simulate_bruteforce
+from helpers import all_gates, circuits, prefix_trace, random_circuit, simulate_bruteforce
 
 
 def test_identity_spec():
@@ -135,6 +135,64 @@ def test_simulation_retains_no_memory():
     finally:
         tracemalloc.stop()
     assert retained < 1 << 20
+
+
+def _identity_from_scratch(width):
+    # column k is 2**k zeros then 2**k ones, repeated, input 0 last
+    return [int(("1" * (1 << k) + "0" * (1 << k)) * (1 << (width - 1 - k)), 2)
+            for k in range(width)]
+
+
+@pytest.mark.parametrize("width", range(1, 17))
+def test_identity_columns_match_a_fresh_build(width):
+    assert _identity_columns(width, 16) == _identity_from_scratch(width)
+    assert _start(width).identity == tuple(_identity_from_scratch(width))
+
+
+def test_identity_columns_are_a_fresh_list_each_call():
+    cols = _identity_columns(5, 16)
+    cols[0] ^= 1
+    cols.append(0)
+    assert _identity_columns(5, 16) == _identity_from_scratch(5)
+    # walks take the columns in place and leave the kept identity alone
+    c = random_circuit(random.Random(5), 5, 12)
+    assert simulate(c) == simulate_bruteforce(c)
+    assert not is_identity(c) and is_identity(concat(c, inverse(c)))
+    assert _identity_columns(5, 16) == _identity_from_scratch(5)
+
+
+def test_width_above_cap_raises_and_keeps_nothing():
+    _start.cache_clear()
+    with pytest.raises(WidthCapExceeded, match="pass max_width=17"):
+        _identity_columns(17, 16)
+    assert _start.cache_info().currsize == 0
+
+
+def test_kept_fingerprint_follows_column_hash(monkeypatch):
+    real = _start(4).fingerprint()
+    assert real[0] == tuple(map(hash, _identity_from_scratch(4)))
+    monkeypatch.setattr(semantics, "_column_hash", lambda col: 0)
+    assert _start(4).fingerprint() == ((0, 0, 0, 0), 0)
+    monkeypatch.undo()
+    assert _start(4).fingerprint() == real
+
+
+def test_start_state_memory_is_bounded_per_width():
+    # w + 1 ints of 2**w bits and a plane of 2**w bytes per width: 200 KB
+    # of bits at width 16 and 393 KB for widths 1-16, which CPython keeps
+    # 30 bits to 4 bytes
+    _start.cache_clear()
+    tracemalloc.start()
+    try:
+        _start(16).fingerprint()
+        at_16 = tracemalloc.get_traced_memory()[0]
+        for width in range(1, 16):
+            _start(width).fingerprint()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert at_16 < 225 << 10
+    assert held < 440 << 10
 
 
 @given(circuits())
