@@ -19,7 +19,7 @@ from . import bench as bench_mod
 from .circuit import ParseError, WidthMismatchError, concat, format_circuit, insert_segment, parse_circuit
 from .cost import CostTableError, DEFAULT_COST_TABLE, circuit_cost, gate_count, load_cost_table
 from .generate import GeneratorConfig, GeneratorError, gen_random_circuit, gen_random_ntri
-from .reduce import eliminate_ntris, remove_trivial_identities
+from .reduce import _report_json, eliminate_ntris, remove_trivial_identities
 from .semantics import DEFAULT_WIDTH_CAP, WidthCapExceeded, _columns, _spec_text, equivalent
 
 
@@ -58,30 +58,6 @@ def _cmd_cost(args) -> int:
     table = _cost_table(args.cost_table)
     print(f"gates={gate_count(c)} cost={circuit_cost(c, table)}")
     return 0
-
-
-def _report_json(report) -> str:
-    """``json.dumps(report.to_dict(), indent=2)``, byte for byte.
-
-    With ``indent`` the encoder runs in pure Python, about 60 ms for the
-    131,072 entries of a width-16 report, so each specification list is
-    written by one join, in place of a string that the encoder wrote.
-    Both fields share one text when they share one specification."""
-    payload = report.to_dict()
-    slots = []
-    for key in ("input_spec", "output_spec"):
-        spec = getattr(report, key)
-        if spec is not None:
-            payload[key] = key
-            slots.append((json.dumps(key), spec))
-    text = json.dumps(payload, indent=2)
-    texts: dict[int, str] = {}
-    for slot, spec in slots:
-        if id(spec) not in texts:
-            texts[id(spec)] = "[\n    " + ",\n    ".join(map(str, spec)) + "\n  ]"
-        # the slot is the field's value, after its key and ": "
-        text = text.replace(f"{slot}: {slot}", f"{slot}: {texts[id(spec)]}", 1)
-    return text
 
 
 def _cmd_reduce(args) -> int:
@@ -262,8 +238,7 @@ def main(argv: "list[str] | None" = None) -> int:
     except WidthCapExceeded as e:
         # The library's text advises a keyword argument, which no command
         # line can pass, and names a table, which not every command builds.
-        width = str(e).partition(" needs")[0]
-        print(f"error: {width} is too wide; revident handles at most "
+        print(f"error: width {e.width} is too wide; revident handles at most "
               f"{DEFAULT_WIDTH_CAP} wires", file=sys.stderr)
         return 2
     except (CliError, WidthMismatchError, CostTableError, GeneratorError, ValueError) as e:

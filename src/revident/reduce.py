@@ -34,11 +34,15 @@ removal happened: ``start_gap`` counts the gates kept in front and
 deleted 0-based slice is ``[start_gap, end_index)``.  Replaying the
 removals in order against the input gate list therefore reproduces the
 output gate list.
+
+``_report_json`` writes a report's JSON, its specification lists made
+from the final columns by ``semantics._spec_text`` as for ``simulate``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 from .circuit import Circuit, Gate
@@ -51,6 +55,7 @@ from .semantics import (
     _cuts,
     _first_repeat,
     _identity_columns,
+    _spec_text,
     _table,
 )
 
@@ -82,22 +87,20 @@ class Removal:
 
 
 class _FinalColumns:
-    """The columns a reduction ends with, turned into a specification on
-    the first read and kept; both report fields share one."""
+    """The columns ``cols`` a reduction ends with, shared by both report
+    fields; ``spec``, their table, is built on the first read and kept."""
 
     def __init__(self, cols: _Columns) -> None:
-        self._cols: "_Columns | None" = cols
-        self._spec: "Specification | None" = None
+        self.cols = cols
 
+    @cached_property
     def spec(self) -> Specification:
-        if self._cols is not None:
-            self._spec, self._cols = _table(self._cols), None
-        return self._spec
+        return _table(self.cols)
 
 
 class _SpecField:
     """A report field holding a specification or None, or a
-    ``_FinalColumns`` that becomes one the first time the field is read."""
+    ``_FinalColumns``, read as its specification."""
 
     def __set_name__(self, owner: type, name: str) -> None:
         self._name = name
@@ -106,9 +109,7 @@ class _SpecField:
         if report is None:  # class access: tells ``dataclass`` there is no default
             raise AttributeError(self._name)
         value = report.__dict__[self._name]
-        if isinstance(value, _FinalColumns):
-            value = report.__dict__[self._name] = value.spec()
-        return value
+        return value.spec if isinstance(value, _FinalColumns) else value
 
     def __set__(self, report: "ReductionReport", value) -> None:
         report.__dict__[self._name] = value
@@ -147,26 +148,42 @@ class ReductionReport:
     def gates_removed(self) -> int:
         return self.input_gates - self.output_gates
 
-    def to_dict(self) -> dict:
+    def _head(self) -> dict:
+        """The fields of ``to_dict`` before the specifications."""
         return {
             "passes": self.passes,
-            "removals": [
-                {
-                    "start_gap": r.start_gap,
-                    "end_index": r.end_index,
-                    "gate_count": r.gate_count,
-                    "cost": r.cost,
-                }
-                for r in self.removals
-            ],
+            "removals": [asdict(r) for r in self.removals],
             "input_gates": self.input_gates,
             "output_gates": self.output_gates,
             "input_cost": self.input_cost,
             "output_cost": self.output_cost,
+        }
+
+    def to_dict(self) -> dict:
+        return {
+            **self._head(),
             "input_spec": None if self.input_spec is None else list(self.input_spec),
             "output_spec": None if self.output_spec is None else list(self.output_spec),
             "comparisons": self.comparisons,
         }
+
+
+def _report_json(report: ReductionReport) -> str:
+    """``json.dumps(report.to_dict(), indent=2)``, byte for byte.  The
+    encoder, pure Python with ``indent``, writes only the head fields; a
+    specification list is one ``_spec_text``, made once for both fields."""
+    import json  # on use: ``import revident`` does not load json
+
+    def spec_json(value) -> str:
+        if isinstance(value, _FinalColumns):
+            return _spec_text(value.cols, ",\n    ")
+        return json.dumps(value, indent=2).replace("\n", "\n  ")
+
+    in_spec, out_spec = report.__dict__["input_spec"], report.__dict__["output_spec"]
+    in_text = spec_json(in_spec)
+    out_text = in_text if out_spec is in_spec else spec_json(out_spec)
+    return (f'{json.dumps(report._head(), indent=2)[:-2]},\n  "input_spec": {in_text},\n'
+            f'  "output_spec": {out_text},\n  "comparisons": {report.comparisons}\n}}')
 
 
 def _maybe_cost(gates: "list[Gate] | tuple[Gate, ...]", table: Mapping[int, int]) -> int | None:
@@ -183,8 +200,7 @@ def _report(
     removals: list[Removal],
     comparisons: int,
     table: Mapping[int, int],
-    in_spec: "Specification | _FinalColumns | None",
-    out_spec: "Specification | _FinalColumns | None",
+    spec: "_FinalColumns | None",
 ) -> tuple[Circuit, ReductionReport]:
     out = Circuit(c.width, tuple(out_gates))
     report = ReductionReport(
@@ -194,8 +210,8 @@ def _report(
         output_gates=len(out_gates),
         input_cost=_maybe_cost(c.gates, table),
         output_cost=_maybe_cost(out_gates, table),
-        input_spec=in_spec,
-        output_spec=out_spec,
+        input_spec=spec,
+        output_spec=spec,
         comparisons=comparisons,
     )
     return out, report
@@ -229,7 +245,7 @@ def remove_trivial_identities(
         else:
             stack.append(g)
     spec = _FinalColumns(_columns(c, max_width)) if c.width <= max_width else None
-    return _report(c, stack, 1, removals, comparisons, table, spec, spec)
+    return _report(c, stack, 1, removals, comparisons, table, spec)
 
 
 def eliminate_ntris(
@@ -255,7 +271,7 @@ def eliminate_ntris(
     removals = [Removal(j, j + len(span), len(span), _maybe_cost(span, table))
                 for j, span in _cuts(cols, c.gates, kept)]
     spec = _FinalColumns(cols)
-    return _report(c, kept, len(removals) + 1, removals, len(c.gates), table, spec, spec)
+    return _report(c, kept, len(removals) + 1, removals, len(c.gates), table, spec)
 
 
 # A second public name for the same pass, kept for existing callers.

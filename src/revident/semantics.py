@@ -11,13 +11,13 @@ Inside the module a specification is bit-sliced, ``n`` ints of
 a gate is ``cols[t] ^= AND(cols[c] for c in controls)``, applied in
 place to one live list of columns by ``_run``.  The tuple form is built
 by ``_table`` only where a specification leaves the module as a value.
-Where it leaves as text, ``_spec_text`` makes ``format_spec``'s text
-straight from the columns: the decimal digits are computed bit-sliced
-and the text is assembled in bulk byte operations, with no tuple and no
-``str`` per entry.  Both boundaries turn columns into byte planes with
-``_spread``; ``_slice`` is ``_table``'s inverse.  Widths above
-``DEFAULT_WIDTH_CAP`` are rejected unless the caller raises
-``max_width``, before anything is built.
+Where it leaves as text, for ``simulate`` or ``reduce --report``,
+``_spec_text`` makes it straight from the columns: the decimal digits
+are computed bit-sliced and the text is assembled in bulk byte
+operations, with no tuple and no ``str`` per entry.  Both boundaries
+turn columns into byte planes with ``_spread``; ``_slice`` is
+``_table``'s inverse.  Widths above ``DEFAULT_WIDTH_CAP`` are rejected
+unless the caller raises ``max_width``, before anything is built.
 
 No specification is kept between calls.  What depends only on the width
 is built by ``_start`` on first use and kept for the process, one
@@ -77,7 +77,8 @@ DEFAULT_WIDTH_CAP = 16
 
 
 class WidthCapExceeded(ValueError):
-    """Raised when a specification table would exceed the width cap."""
+    """Raised when a specification table would exceed the width cap;
+    ``width`` is the width that was refused."""
 
 
 def identity_spec(width: int) -> Specification:
@@ -147,10 +148,10 @@ def _identity_columns(width: int, max_width: int) -> _Columns:
     wires; every walk over a circuit starts here.  The width is checked
     before anything is built or kept."""
     if width > max_width:
-        raise WidthCapExceeded(
-            f"width {width} needs a table of 2**{width} entries; "
-            f"pass max_width={width} to allow it"
-        )
+        e = WidthCapExceeded(f"width {width} needs a table of 2**{width} entries; "
+                             f"pass max_width={width} to allow it")
+        e.width = width
+        raise e
     return list(_start(width).identity)
 
 
@@ -244,12 +245,13 @@ _DIGIT_CHARS = bytes.maketrans(bytes([*range(0x00, 0x0a), *range(0x11, 0x1b)]),
                                b"0123456789" b"1234567890")
 
 
-def _spec_text(cols: _Columns) -> str:
-    """``format_spec(_table(cols))``, made on the columns: a bit-sliced
-    double dabble (shift and add 3) turns the ``n`` columns into four
-    columns per decimal digit, and each digit becomes one byte plane of
-    the text, which holds ``digits + 1`` bytes per input with a comma
-    last.  Leading zeros are deleted from the text in one pass."""
+def _spec_text(cols: _Columns, sep: str = ",") -> str:
+    """``format_spec(_table(cols))`` made on the columns, or, with
+    ``sep=",\\n    "``, the list as ``json.dumps(indent=2)`` nests it.
+    A bit-sliced double dabble (shift and add 3) turns the ``n`` columns
+    into four columns per decimal digit, and each digit becomes one byte
+    plane of the text, which holds ``digits + len(sep)`` bytes per input
+    with ``sep`` last.  Leading zeros are deleted in one pass."""
     size = 1 << len(cols)
     digits = len(str(size - 1))
     # Four columns per digit, units first.  The top three bits make a
@@ -268,8 +270,9 @@ def _spec_text(cols: _Columns) -> str:
         bcd.insert(0, col)  # shift left by one bit, bringing in col
         bcd.pop()
     ones = _start(len(cols)).ones
-    stride = digits + 1  # input x's digits and comma start at 1 + stride * x
-    text = bytearray(b"[") + bytearray(b",") * (stride * size)
+    space = sep[1:].encode()  # json.dumps opens with sep's whitespace, closes one indent out
+    stride = digits + len(sep)  # input x's digits and sep start at 1 + len(space) + stride * x
+    text = bytearray(b"[" + space) + bytearray(bytes(digits) + sep.encode()) * size
     above = 0  # inputs with a nonzero digit above digit j
     for j in reversed(range(digits)):
         d0, d1, d2, d3 = bcd[4 * j:4 * j + 4]
@@ -280,8 +283,8 @@ def _spec_text(cols: _Columns) -> str:
             d1 |= inner
             d3 |= inner
         plane = _spread((d0, d1, d2, d3), size, ones) | (ones << 4 if j else 0)
-        text[digits - j::stride] = plane.to_bytes(size, "little")
-    text[-1] = ord("]")
+        text[len(space) + digits - j::stride] = plane.to_bytes(size, "little")
+    text[-len(sep):] = space[:-2] + b"]"
     return text.translate(_DIGIT_CHARS, b"\x10").decode("ascii")
 
 

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -151,8 +152,27 @@ def test_reduce_without_report_builds_no_table(rev, capsys, tmp_path, monkeypatc
     assert main(["reduce", path, "--fast"]) == 0
     assert main(["reduce", path, "--trivial-only"]) == 0
     assert calls == []
+    # the report's lists are written from the final columns, not a table
     assert main(["reduce", path, "--report", str(tmp_path / "r.json")]) == 0
-    assert calls == [4]
+    assert main(["reduce", path, "--trivial-only", "--report", str(tmp_path / "t.json")]) == 0
+    assert calls == []
+
+
+def test_reduce_report_peak_memory_at_width_16(rev, capsys, tmp_path):
+    # writing the lists from the columns peaks near 3 MB; a table, its two
+    # list copies and one str per entry took about 6.8 MB
+    c = revident.gen_random_circuit(revident.GeneratorConfig(width=16, gates=228, seed=1))
+    path, out = rev("c.rev", format_circuit(c)), tmp_path / "r.json"
+    argv = ["reduce", path, "--report", str(out)]
+    assert main(argv) == 0  # the width's start state is built once, untraced
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_text() == json.dumps(eliminate_ntris(c)[1].to_dict(), indent=2) + "\n"
+    assert peak < 5 << 20
 
 
 # The --report JSON, specifications and comparisons included, as the

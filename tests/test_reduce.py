@@ -3,6 +3,7 @@ both its names, and the reduction reports."""
 
 from __future__ import annotations
 
+import json
 import random
 import tracemalloc
 
@@ -28,6 +29,7 @@ from revident import (
 )
 from revident import semantics
 from revident.bench import surviving_indices
+from revident.reduce import _report_json
 from revident.semantics import _first_repeat
 
 from helpers import eliminate_reference, first_hit, late_hit_circuit, prefix_trace, random_circuit
@@ -343,6 +345,7 @@ class TestReport:
         eager = ReductionReport(**fields)
         assert eager == lazy and hash(eager) == hash(lazy)
         assert eager.to_dict() == lazy.to_dict()
+        assert _report_json(eager) == _report_json(lazy) == json.dumps(lazy.to_dict(), indent=2)
         with pytest.raises(TypeError):
             ReductionReport(**{k: v for k, v in fields.items() if k != "output_spec"})
 

@@ -7,6 +7,7 @@ small permutations are frozen as literal expected values.
 
 from __future__ import annotations
 
+import json
 import random
 import tracemalloc
 from itertools import islice
@@ -98,7 +99,8 @@ def test_simulate_matches_bruteforce_across_byte_planes(width):
 
 @pytest.mark.parametrize("width", range(1, 18))
 def test_spec_text_matches_formatted_table(width):
-    # format_spec(_table(cols)) is the oracle; the digit count changes at
+    # format_spec(_table(cols)) is the oracle, and json.dumps(indent=2) one
+    # level down for the report's separator; the digit count changes at
     # widths 4, 7, 10, 14 and 17, and byte planes meet at 8 and 16.
     rng = random.Random(width)
     singles = (mct((), width - 1), mct(range(1, width), 0), mct(range(width - 1), width - 1))
@@ -107,6 +109,8 @@ def test_spec_text_matches_formatted_table(width):
     for c in cases:
         cols = _columns(c, 17)
         assert _spec_text(cols) == format_spec(_table(cols))
+        nested = json.dumps(list(_table(cols)), indent=2).replace("\n", "\n  ")
+        assert _spec_text(cols, ",\n    ") == nested
 
 
 def test_spec_text_peak_memory_at_width_16():
