@@ -279,7 +279,9 @@ def _token(wires: list[int], names: str) -> str:
 
 
 def format_gate(g: Gate, width: int) -> str:
-    """Render one gate token; controls are printed in wire order."""
+    """Render one gate token; controls are printed in wire order.  A gate
+    that ``Circuit(width, (g,))`` would refuse raises its ``ValueError``."""
+    Circuit(width, (g,))
     return _token([*sorted(g.controls), g.target], _wire_names(width))
 
 

@@ -112,6 +112,9 @@ def synthesize_inverse(spec: Specification, width: int) -> Circuit:
     clear the bits not in ``x``, controlling on the bits of ``x``.  Gates
     are appended in application order, so the returned circuit maps
     ``spec`` back to the identity.
+
+    Unlike the walks that take ``max_width``, it has no width cap: the
+    caller has already built the ``2**width``-entry ``spec``.
     """
     if len(spec) != 1 << width or not is_permutation(spec):
         raise ValueError(f"not a permutation of 0..{(1 << width) - 1}")

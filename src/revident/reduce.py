@@ -119,9 +119,11 @@ class _SpecField:
 class ReductionReport:
     """What a reduction did.  ``passes`` counts the passes of the paper's
     restarting scan, including the final one that found nothing: one more
-    than the number of removals.  Cost and specification fields are None
-    when the cost table has no entry for some gate or the width exceeds
-    the cap.
+    than the number of removals.  Cost fields are None when the cost
+    table has no entry for some gate.  Specification fields are None when
+    the width exceeds the cap in ``remove_trivial_identities``, which
+    needs no table to reduce; ``eliminate_ntris`` raises
+    ``WidthCapExceeded`` there instead.
 
     The specifications are lazy: the report keeps the final bit-sliced
     columns and builds one table from them on the first read of either

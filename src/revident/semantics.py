@@ -17,7 +17,9 @@ are computed bit-sliced and the text is assembled in bulk byte
 operations, with no tuple and no ``str`` per entry.  Both boundaries
 turn columns into byte planes with ``_spread``; ``_slice`` is
 ``_table``'s inverse.  Widths above ``DEFAULT_WIDTH_CAP`` are rejected
-unless the caller raises ``max_width``, before anything is built.
+unless the caller raises ``max_width``, before anything is built.  Only
+``generate.synthesize_inverse`` has no cap: its caller has already built
+the ``2**n``-entry table.
 
 No specification is kept between calls.  What depends only on the width
 is built by ``_start`` on first use and kept for the process, one
@@ -27,23 +29,24 @@ of ones.  At width 16 that is about 220 KB.  ``_identity_columns`` hands
 out a fresh list copy of the identity, so a walk never alters the kept
 one.
 
-The one prefix scan is ``_cuts``: it fingerprints each prefix, keeps an
-index from fingerprint to the kept prefixes that carry it, confirms a
-candidate exactly and cuts the caller's stack of kept gates back to the
-hit.  A scan thus keeps one live set of columns rather than one per
-prefix.  ``_fingerprints`` keys each prefix by ``sum(r_k * hash(col_k))``
-with fixed pseudo-random multipliers ``r_k`` (Karp-Rabin fingerprinting;
-the int hash of a column is its value mod ``2**61 - 1``), so a gate costs
-one application and one hash of its target column.  Equal prefixes
-always share a fingerprint; a shared fingerprint is confirmed exactly:
-the empty prefix is compared with the live columns directly, any other
-by simulating the gates between the two prefixes from the identity
-(``_spans_identity``).  A collision therefore costs time, never a wrong
-answer.  The scan has three users: ``reduce.eliminate_ntris`` takes
-every cut, and ``reduce.is_irreducible`` and
-``generate.is_interior_irreducible`` take the first, through
-``_first_repeat``.  ``_spans_identity`` also decides ``is_identity``
-and ``equivalent``.
+The one prefix scan is ``_cuts``, a single loop: each gate is applied
+to the live columns in place, its target column is rehashed, the
+prefix's fingerprint is updated, and an index from fingerprint to the
+kept prefixes that carry it is looked up, the candidate confirmed
+exactly and the caller's stack of kept gates cut back to the hit.  A
+scan thus keeps one live set of columns rather than one per prefix.
+A prefix is keyed by ``sum(r_k * hash(col_k))`` with fixed pseudo-random
+multipliers ``r_k`` (Karp-Rabin fingerprinting; the int hash of a column
+is its value mod ``2**61 - 1``), so a gate costs one application and one
+hash of its target column.  Equal prefixes always share a fingerprint;
+a shared fingerprint is confirmed exactly: the empty prefix is compared
+with the live columns directly, any other by simulating the gates
+between the two prefixes from the identity (``_spans_identity``).  A
+collision therefore costs time, never a wrong answer.  The scan has
+three users: ``reduce.eliminate_ntris`` takes every cut, and
+``reduce.is_irreducible`` and ``generate.is_interior_irreducible`` take
+the first, through ``_first_repeat``.  ``_spans_identity`` also decides
+``is_identity`` and ``equivalent``.
 """
 
 from __future__ import annotations
@@ -173,31 +176,6 @@ def _spans_identity(cols: _Columns, gates: Iterable[Gate]) -> bool:
     return tuple(_run(cols, gates)) == _start(len(cols)).identity
 
 
-def _fingerprints(cols: _Columns, gates: Iterable[Gate]) -> Iterator[int]:
-    """The prefix scan: the fingerprint of ``cols``, the identity's
-    columns, then of ``cols`` after each gate, ``len(gates) + 1`` in all,
-    applying the gates to ``cols`` in place.  A fingerprint is the exact
-    integer ``sum(r_k * hash(cols[k]))``, so a gate rehashes only its
-    target column, and the identity's is kept per width.  Equal prefixes
-    have equal fingerprints; a shared fingerprint is only a candidate,
-    which ``_cuts`` confirms."""
-    start = _start(len(cols))
-    hashes, fp = start.fingerprint()
-    hashes = list(hashes)
-    yield fp
-    everywhere = start.everywhere
-    for g in gates:  # _run's gate application, inlined in the hot loop
-        fire = everywhere
-        for w in g.controls:
-            fire &= cols[w]
-        t = g.target
-        cols[t] = col = cols[t] ^ fire
-        h = _column_hash(col)
-        fp += _MULTIPLIERS[t] * (h - hashes[t])
-        hashes[t] = h
-        yield fp
-
-
 def _spread(cols: _Columns, size: int, ones: int) -> int:
     """Up to eight columns as one byte plane: bit ``b`` of byte ``x``
     (little-endian) is bit ``x`` of ``cols[b]``.  ``ones`` has every byte
@@ -309,22 +287,35 @@ def _columns(c: Circuit, max_width: int) -> _Columns:
 
 
 def _cuts(cols: _Columns, gates: Iterable[Gate], kept: list[Gate]) -> Iterator[tuple[int, list[Gate]]]:
-    """The prefix scan with cuts.  ``cols``, the identity's columns, take
-    each of ``gates`` in place; ``kept``, empty at the start, is the
-    stack of gates kept so far.  When a new prefix equals kept prefix
-    ``kept[:j]``, yield ``(j, span)``, ``span`` being the gates between
-    them (the new gate last), then cut ``kept`` back to ``j``; otherwise
-    push the gate.  Every cut deletes an identity, so ``cols`` always
-    holds the kept prefix and the kept prefixes are distinct: the index
-    maps a fingerprint to the stack indices that carry it, at most one
-    candidate confirms, and each confirmation that succeeds simulates
-    gates the cut then deletes."""
-    identity = _start(len(cols)).identity
-    steps = _fingerprints(cols, gates)
-    fp = next(steps)
+    """The prefix scan with cuts, one loop.  ``cols``, the identity's
+    columns, take each of ``gates`` in place; ``kept``, empty at the
+    start, is the stack of gates kept so far.  A prefix's fingerprint is
+    the exact integer ``sum(r_k * hash(cols[k]))``, so a gate rehashes
+    only its target column; the identity's is kept per width.  When a
+    new prefix equals kept prefix ``kept[:j]``, yield ``(j, span)``,
+    ``span`` being the gates between them (the new gate last), then cut
+    ``kept`` back to ``j``; otherwise push the gate.  Every cut deletes
+    an identity, so ``cols`` always holds the kept prefix and the kept
+    prefixes are distinct: the index maps a fingerprint to the stack
+    indices that carry it, at most one candidate confirms, and each
+    confirmation that succeeds simulates gates the cut then deletes."""
+    start = _start(len(cols))
+    identity, everywhere = start.identity, start.everywhere
+    hashes, fp = start.fingerprint()
+    hashes = list(hashes)
     fps = [fp]  # fps[k] is the fingerprint of kept[:k]
     index: dict[int, list[int]] = {fp: [0]}
-    for g, fp in zip(gates, steps):
+    for g in gates:
+        # _run's gate application, inlined: _run(cols, (g,)) would cost
+        # a call and a _start lookup per gate
+        fire = everywhere
+        for w in g.controls:
+            fire &= cols[w]
+        t = g.target
+        cols[t] = col = cols[t] ^ fire
+        h = _column_hash(col)
+        fp += _MULTIPLIERS[t] * (h - hashes[t])
+        hashes[t] = h
         candidates = index.setdefault(fp, [])
         for j in candidates:
             span = kept[j:]

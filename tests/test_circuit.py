@@ -225,6 +225,15 @@ class TestFormat:
         assert format_gate(mct({0, 1, 3}, 2), 4) == "TOF4(a, b, d, c)"
         assert format_gate(mct({0, 1, 2, 3}, 4), 5) == "MCT(a, b, c, d; e)"
 
+    def test_gate_outside_width_is_refused(self):
+        # Circuit's errors, not an IndexError from the wire names
+        with pytest.raises(ValueError, match="outside width 2"):
+            format_gate(mct((), 3), 2)
+        with pytest.raises(ValueError, match="outside width 3"):
+            format_gate(mct({4}, 0), 3)
+        with pytest.raises(ValueError, match="at least 1"):
+            format_gate(mct((), 0), 0)
+
     def test_header_omitted_when_order_is_natural(self):
         assert format_circuit(parse_circuit("NOT(a) CNOT(a, b)")) == "NOT(a) CNOT(a, b)"
 

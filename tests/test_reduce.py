@@ -289,6 +289,27 @@ class TestFingerprintIndex:
             assert _first_repeat(c, 16) == (0, len(c.gates))
             assert is_interior_irreducible(c)
 
+    def test_work_is_linear_in_gates(self, monkeypatch):
+        # m column hashes, and at most m gates simulated by the
+        # confirmations, all of which succeed with the real hash
+        hashed = []
+        monkeypatch.setattr(semantics, "_column_hash", lambda col: hashed.append(col) or hash(col))
+        confirmed = []
+        spans_identity = semantics._spans_identity
+
+        def counting_spans_identity(cols, gates):
+            confirmed.append(len(gates))
+            return spans_identity(cols, gates)
+
+        monkeypatch.setattr(semantics, "_spans_identity", counting_spans_identity)
+        for c in _late_hit_cases():
+            eliminate_ntris(c)  # the identity's fingerprint is rebuilt for the new hash once
+            hashed.clear()
+            confirmed.clear()
+            _, report = eliminate_ntris(c)
+            assert len(hashed) == len(c.gates)
+            assert report.removals and 0 < sum(confirmed) <= len(c.gates)
+
     def test_peak_memory_at_width_16(self):
         c = gen_random_circuit(GeneratorConfig(width=16, gates=500, seed=3))
         tracemalloc.start()
