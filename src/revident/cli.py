@@ -16,7 +16,9 @@ import sys
 from pathlib import Path
 
 from . import bench as bench_mod
-from .circuit import ParseError, WidthMismatchError, concat, format_circuit, insert_segment, parse_circuit
+from .circuit import (
+    ParseError, WidthMismatchError, _wire_names, concat, format_circuit, insert_segment, parse_circuit,
+)
 from .cost import CostTableError, DEFAULT_COST_TABLE, circuit_cost, gate_count, load_cost_table
 from .generate import GeneratorConfig, GeneratorError, gen_random_circuit, gen_random_ntri
 from .reduce import _report_json, eliminate_ntris, remove_trivial_identities
@@ -80,6 +82,7 @@ def _cmd_gen_random(args) -> int:
     cfg = GeneratorConfig(
         width=args.width, gates=args.gates, seed=args.seed, max_controls=args.max_controls
     )
+    _wire_names(cfg.width)  # refuse a width the text cannot name before drawing any gate
     print(format_circuit(gen_random_circuit(cfg)))
     return 0
 

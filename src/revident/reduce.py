@@ -27,22 +27,11 @@ share one removal discipline:
   candidate the scan confirms.  The paper's restarting scan is kept as
   the test oracle.
 * ``eliminate_ntris_fast`` is another name for ``eliminate_ntris``.
-
-Removal coordinates are local to the circuit as it stood when the
-removal happened: ``start_gap`` counts the gates kept in front and
-``end_index`` is the 1-based index of the last deleted gate, so the
-deleted 0-based slice is ``[start_gap, end_index)``.  Replaying the
-removals in order against the input gate list therefore reproduces the
-output gate list.
-
-``_report_json`` writes a report's JSON, its specification lists made
-from the final columns by ``semantics._spec_text`` as for ``simulate``.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from dataclasses import asdict, dataclass, field, fields
 from typing import Mapping
 
 from .circuit import Circuit, Gate
@@ -50,7 +39,6 @@ from .cost import DEFAULT_COST_TABLE, _sum_costs
 from .semantics import (
     DEFAULT_WIDTH_CAP,
     Specification,
-    _Columns,
     _columns,
     _cuts,
     _first_repeat,
@@ -71,8 +59,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Removal:
-    """One deleted identity segment, in coordinates of the circuit at
-    removal time: the deleted 0-based slice is [start_gap, end_index)."""
+    """One deleted identity segment, in coordinates of the circuit as it
+    stood when the removal happened: ``start_gap`` counts the gates kept
+    in front and ``end_index`` is the 1-based index of the last deleted
+    gate, so the deleted 0-based slice is ``[start_gap, end_index)``.
+
+    Replay rule: apply a report's removals in order to the input gate
+    list, each deleting ``[start_gap, end_index)`` from the list as the
+    removals before it left it; the result is the output gate list, as
+    ``bench.surviving_indices`` computes it on gate indices."""
 
     start_gap: int
     end_index: int
@@ -86,21 +81,17 @@ class Removal:
             raise ValueError("gate_count does not match the span")
 
 
-class _FinalColumns:
-    """The columns ``cols`` a reduction ends with, shared by both report
-    fields; ``spec``, their table, is built on the first read and kept."""
+class _FinalColumns(list):
+    """The columns a reduction ends with, as a report field holds them
+    until its first read.  A caller's plain list is a specification."""
 
-    def __init__(self, cols: _Columns) -> None:
-        self.cols = cols
-
-    @cached_property
-    def spec(self) -> Specification:
-        return _table(self.cols)
+    __slots__ = ()
 
 
 class _SpecField:
-    """A report field holding a specification or None, or a
-    ``_FinalColumns``, read as its specification."""
+    """A report field holding a specification or None, or
+    ``_FinalColumns``.  The first read builds their table and stores it
+    in every field that held the same columns."""
 
     def __set_name__(self, owner: type, name: str) -> None:
         self._name = name
@@ -108,11 +99,24 @@ class _SpecField:
     def __get__(self, report: "ReductionReport | None", owner: type = None):
         if report is None:  # class access: tells ``dataclass`` there is no default
             raise AttributeError(self._name)
-        value = report.__dict__[self._name]
-        return value.spec if isinstance(value, _FinalColumns) else value
+        stored = vars(report)
+        value = stored[self._name]
+        if type(value) is _FinalColumns:
+            table = _table(value)
+            stored.update({name: table for name, held in stored.items() if held is value})
+            return table
+        return value
 
     def __set__(self, report: "ReductionReport", value) -> None:
-        report.__dict__[self._name] = value
+        vars(report)[self._name] = value
+
+
+def _plain(value):
+    """A field's value as ``to_dict`` gives it: a sequence as a list, each
+    ``Removal`` in it as a dict."""
+    if not isinstance(value, (tuple, list)):
+        return value
+    return [asdict(r) for r in value] if value and isinstance(value[0], Removal) else list(value)
 
 
 @dataclass(frozen=True)
@@ -134,7 +138,10 @@ class ReductionReport:
     ``comparisons`` counts equality tests: one prefix lookup per input
     gate for ``eliminate_ntris``, one gate comparison per gate that meets
     a non-empty stack for ``remove_trivial_identities``.  It is
-    informational only and never takes part in equality."""
+    informational only and never takes part in equality.
+
+    The order of the fields below is the order of ``to_dict()`` and of
+    the ``--report`` JSON."""
 
     passes: int
     removals: tuple[Removal, ...]
@@ -150,42 +157,27 @@ class ReductionReport:
     def gates_removed(self) -> int:
         return self.input_gates - self.output_gates
 
-    def _head(self) -> dict:
-        """The fields of ``to_dict`` before the specifications."""
-        return {
-            "passes": self.passes,
-            "removals": [asdict(r) for r in self.removals],
-            "input_gates": self.input_gates,
-            "output_gates": self.output_gates,
-            "input_cost": self.input_cost,
-            "output_cost": self.output_cost,
-        }
-
     def to_dict(self) -> dict:
-        return {
-            **self._head(),
-            "input_spec": None if self.input_spec is None else list(self.input_spec),
-            "output_spec": None if self.output_spec is None else list(self.output_spec),
-            "comparisons": self.comparisons,
-        }
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
 
 
 def _report_json(report: ReductionReport) -> str:
-    """``json.dumps(report.to_dict(), indent=2)``, byte for byte.  The
-    encoder, pure Python with ``indent``, writes only the head fields; a
-    specification list is one ``_spec_text``, made once for both fields."""
+    """``json.dumps(report.to_dict(), indent=2)``, byte for byte, written
+    field by field.  Fields that still hold ``_FinalColumns`` are written
+    from the columns by ``_spec_text`` and build no table; a value held
+    by two fields is written once."""
     import json  # on use: ``import revident`` does not load json
 
-    def spec_json(value) -> str:
-        if isinstance(value, _FinalColumns):
-            return _spec_text(value.cols, ",\n    ")
-        return json.dumps(value, indent=2).replace("\n", "\n  ")
-
-    in_spec, out_spec = report.__dict__["input_spec"], report.__dict__["output_spec"]
-    in_text = spec_json(in_spec)
-    out_text = in_text if out_spec is in_spec else spec_json(out_spec)
-    return (f'{json.dumps(report._head(), indent=2)[:-2]},\n  "input_spec": {in_text},\n'
-            f'  "output_spec": {out_text},\n  "comparisons": {report.comparisons}\n}}')
+    texts: dict[int, str] = {}
+    parts = ["{"]
+    for f in fields(report):
+        value = vars(report)[f.name]
+        if id(value) not in texts:
+            texts[id(value)] = (_spec_text(value, ",\n    ") if type(value) is _FinalColumns
+                                else json.dumps(_plain(value), indent=2).replace("\n", "\n  "))
+        parts += "\n  ", json.dumps(f.name), ": ", texts[id(value)], ","
+    parts[-1] = "\n}"
+    return "".join(parts)
 
 
 def _maybe_cost(gates: "list[Gate] | tuple[Gate, ...]", table: Mapping[int, int]) -> int | None:

@@ -253,6 +253,20 @@ def test_gen_random_prints_parseable_circuit(capsys):
     assert capsys.readouterr().out == out1
 
 
+def test_gen_random_refuses_unwritable_width_before_drawing(capsys, monkeypatch):
+    def drawn(cfg):
+        raise AssertionError("gates drawn for a width the text format cannot write")
+
+    monkeypatch.setattr("revident.cli.gen_random_circuit", drawn)
+    assert main(["gen-random", "--width", "27", "--gates", "300000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: text format supports at most 26 wires\n"
+    monkeypatch.undo()
+    assert main(["gen-random", "--width", "26", "--gates", "3"]) == 0
+    assert parse_circuit(capsys.readouterr().out).width == 26
+
+
 def test_gen_ntri_prints_identity(capsys):
     from revident import is_identity
 

@@ -3,7 +3,9 @@ both its names, and the reduction reports."""
 
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 import random
 import tracemalloc
 
@@ -369,6 +371,32 @@ class TestReport:
         assert _report_json(eager) == _report_json(lazy) == json.dumps(lazy.to_dict(), indent=2)
         with pytest.raises(TypeError):
             ReductionReport(**{k: v for k, v in fields.items() if k != "output_spec"})
+
+    def test_list_specifications_read_back_unchanged(self):
+        # a plain list is a caller's specification, never columns to tabulate
+        spec = [0, 1, 3, 2]
+        report = ReductionReport(2, (Removal(0, 2, 2, 2),), 3, 1, 3, 1, spec, spec, comparisons=3)
+        assert report.input_spec is spec and report.output_spec is spec
+        assert report.to_dict()["output_spec"] == [0, 1, 3, 2]
+        assert _report_json(report) == json.dumps(report.to_dict(), indent=2)
+
+    def test_unread_report_survives_pickle_and_deepcopy(self, monkeypatch):
+        calls = []
+
+        def counting(cols):
+            calls.append(len(cols))
+            return semantics._table(cols)
+
+        monkeypatch.setattr("revident.reduce._table", counting)
+        c = parse_circuit(GOLDEN)
+        _, lazy = eliminate_ntris(c)
+        text = _report_json(lazy)
+        copies = [pickle.loads(pickle.dumps(lazy)), copy.deepcopy(lazy)]
+        assert [_report_json(r) for r in copies] == [text, text]
+        assert calls == []
+        for r in copies:
+            assert r == lazy and r.output_spec is r.input_spec == simulate(c)
+        assert calls == [3, 3, 3]
 
     def test_removal_validation(self):
         with pytest.raises(ValueError):
