@@ -14,12 +14,14 @@ Every row also carries the (gates, cost) figures published with the
 corpus.  Where recomputation disagrees with a published figure, the row
 reports a discrepancy entry; published figures are never silently
 reconciled with computed ones, and a cost discrepancy alone does not
-fail a row.
+fail a row.  Both outputs, the JSON of ``BenchReport.to_dict`` and the
+text of ``render_report``, come from one row layout per suite, ``_LAYOUTS``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .circuit import Circuit, insert_segment
 from .corpus import load_corpus_circuit
@@ -193,6 +195,29 @@ class Table2Result:
     status: str
 
 
+# Per suite: ``head``, a result's name and computed and printed (gates,
+# cost); the fields the JSON carries after ``status``, in order; and the
+# text's title, check-column header and check cells.
+_LAYOUTS = {
+    "table1": (
+        attrgetter("benchmark", "computed_optimal", "printed_optimal"),
+        ("recovered", "computed_bugged", "printed_bugged", "discrepancies"),
+        "suite 1: bugged-benchmark recovery",
+        f"{'recovered':<11}",
+        lambda r: f"{('yes' if r.recovered else 'NO'):<11}",
+    ),
+    "table2": (
+        attrgetter("circuit_id", "computed_original", "printed_original"),
+        ("spec_matches", "bracket", "bracket_removed", "computed_reduced", "printed_hybrid",
+         "discrepancies"),
+        "suite 2: buried-identity discovery",
+        f"{'spec':<6}{'bracket':<10}{'removed':<9}",
+        lambda r: (f"{('ok' if r.spec_matches else 'NO'):<6}{str(list(r.bracket)):<10}"
+                   f"{('yes' if r.bracket_removed else 'NO'):<9}"),
+    ),
+}
+
+
 @dataclass(frozen=True)
 class BenchReport:
     suite: str
@@ -203,40 +228,16 @@ class BenchReport:
         return all(r.status == "pass" for r in self.rows)
 
     def to_dict(self) -> dict:
+        head, tail, *_ = _LAYOUTS[self.suite]
+        keys = ("status", *tail)
+        values = attrgetter(*keys)
         rows = []
         for r in self.rows:
-            if isinstance(r, Table1Result):
-                rows.append(
-                    {
-                        "row": r.benchmark,
-                        "computed_g": r.computed_optimal[0],
-                        "computed_c": r.computed_optimal[1],
-                        "printed_g": r.printed_optimal[0],
-                        "printed_c": r.printed_optimal[1],
-                        "status": r.status,
-                        "recovered": r.recovered,
-                        "computed_bugged": list(r.computed_bugged),
-                        "printed_bugged": list(r.printed_bugged),
-                        "discrepancies": list(r.discrepancies),
-                    }
-                )
-            else:
-                rows.append(
-                    {
-                        "row": r.circuit_id,
-                        "computed_g": r.computed_original[0],
-                        "computed_c": r.computed_original[1],
-                        "printed_g": r.printed_original[0],
-                        "printed_c": r.printed_original[1],
-                        "status": r.status,
-                        "spec_matches": r.spec_matches,
-                        "bracket": list(r.bracket),
-                        "bracket_removed": r.bracket_removed,
-                        "computed_reduced": list(r.computed_reduced),
-                        "printed_hybrid": list(r.printed_hybrid),
-                        "discrepancies": list(r.discrepancies),
-                    }
-                )
+            name, (cg, cc), (pg, pc) = head(r)
+            row = {"row": name, "computed_g": cg, "computed_c": cc, "printed_g": pg, "printed_c": pc}
+            for key, value in zip(keys, values(r)):
+                row[key] = list(value) if type(value) is tuple else value
+            rows.append(row)
         return {"suite": self.suite, "passed": self.passed, "rows": rows}
 
 
@@ -347,31 +348,13 @@ def run_table2(rows: tuple[Table2Row, ...] = TABLE2_ROWS) -> BenchReport:
 
 def render_report(report: BenchReport) -> str:
     """Fixed-width human-readable rendering, deterministic per corpus."""
-    lines = []
-    if report.suite == "table1":
-        lines.append("suite 1: bugged-benchmark recovery")
-        header = f"{'row':<10}{'recovered':<11}{'computed(g,c)':<15}{'printed(g,c)':<14}status"
-        lines.append(header)
-        for r in report.rows:
-            lines.append(
-                f"{r.benchmark:<10}{('yes' if r.recovered else 'NO'):<11}"
-                f"{str(r.computed_optimal):<15}{str(r.printed_optimal):<14}{r.status}"
-            )
-    else:
-        lines.append("suite 2: buried-identity discovery")
-        header = (
-            f"{'row':<10}{'spec':<6}{'bracket':<10}{'removed':<9}"
-            f"{'computed(g,c)':<15}{'printed(g,c)':<14}status"
-        )
-        lines.append(header)
-        for r in report.rows:
-            lines.append(
-                f"{r.circuit_id:<10}{('ok' if r.spec_matches else 'NO'):<6}"
-                f"{str(list(r.bracket)):<10}{('yes' if r.bracket_removed else 'NO'):<9}"
-                f"{str(r.computed_original):<15}{str(r.printed_original):<14}{r.status}"
-            )
-    notes = [f"  {r.benchmark if isinstance(r, Table1Result) else r.circuit_id}: {d}"
-             for r in report.rows for d in r.discrepancies]
+    head, _, title, checks, cells = _LAYOUTS[report.suite]
+    lines = [title, f"{'row':<10}{checks}{'computed(g,c)':<15}{'printed(g,c)':<14}status"]
+    notes = []
+    for r in report.rows:
+        name, computed, printed = head(r)
+        lines.append(f"{name:<10}{cells(r)}{str(computed):<15}{str(printed):<14}{r.status}")
+        notes += [f"  {name}: {d}" for d in r.discrepancies]
     if notes:
         lines.append("known discrepancies (printed figures kept as printed):")
         lines.extend(notes)

@@ -42,12 +42,16 @@ class GeneratorError(RuntimeError):
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Knobs shared by both generators.
+    """Knobs for the two generators; each reads only some of them.
 
-    ``gates`` is the exact length for random circuits; ``min_length`` is
-    the minimum NTRI length.  ``max_controls`` defaults to the smaller of
-    3 and width-1 so every sampled gate fits both the wire count and the
-    default cost table.
+    ``gen_random_circuit`` reads ``gates``, its exact length, and
+    ``forbid_adjacent_duplicates``.  ``gen_random_ntri`` reads
+    ``min_length``, the minimum NTRI length, and ``max_attempts``; it
+    always forbids adjacent duplicates, because an adjacent equal pair
+    is an interior identity and would always be rejected.  Both read
+    ``width``, ``seed`` and ``max_controls``, which defaults to the
+    smaller of 3 and width-1 so every sampled gate fits both the wire
+    count and the default cost table.
     """
 
     width: int
@@ -161,12 +165,13 @@ def gen_random_ntri(cfg: GeneratorConfig) -> Circuit:
     rejections.  Synthesized gates may use more controls than
     ``max_controls``, which only bounds the random half.
     """
+    identity = _identity_columns(cfg.width, DEFAULT_WIDTH_CAP)  # before any gate is drawn
     rng = random.Random(cfg.seed)
     base = max(1, cfg.min_length // 2)
     for attempt in range(cfg.max_attempts):
         count = base + attempt // 100
         gates = _random_gates(rng, cfg.width, count, cfg.max_controls, True)
-        half = _run(_identity_columns(cfg.width, DEFAULT_WIDTH_CAP), gates)
+        half = _run(identity.copy(), gates)
         gates += _synthesize(half)
         whole = Circuit(cfg.width, tuple(gates))
         if len(whole.gates) >= cfg.min_length and is_interior_irreducible(whole):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 
-from revident import Circuit, bench, corpus, mct
+from revident import Circuit, bench, corpus, mct, remove_trivial_identities
 from revident.cli import main
 from revident.bench import (
     TABLE1_ROWS,
@@ -147,6 +147,21 @@ class TestReportOutput:
         for row in TABLE2_ROWS:
             assert row.circuit_id in r2
         assert "known discrepancies" in r2
+
+    def test_failing_rows_print_no_fail_and_exit_1(self, monkeypatch, capsys):
+        # trivial-pair cancellation cannot remove the corpus identities
+        monkeypatch.setattr(bench, "eliminate_ntris", remove_trivial_identities)
+        assert main(["bench", "all"]) == 1
+        table1, table2 = capsys.readouterr().out.split("\n\n")
+        for text, check in ((table1, "recovered"), (table2, "removed")):
+            header, *rows = text.splitlines()[1:]
+            col = header.index(check)
+            failed = [row for row in rows if row.endswith("fail")]
+            assert failed and all(row[col:col + 3] == "NO " for row in failed)
+            assert text.splitlines()[-1] == "result: FAIL"
+        assert main(["bench", "all", "--json"]) == 1
+        suites = json.loads(capsys.readouterr().out)["suites"]
+        assert [s["passed"] for s in suites] == [False, False]
 
 
 def _count_calls(monkeypatch, module, names, counts: Counter) -> None:

@@ -10,9 +10,11 @@ from revident import (
     Circuit,
     GeneratorConfig,
     GeneratorError,
+    WidthCapExceeded,
     eliminate_ntris,
     gen_random_circuit,
     gen_random_ntri,
+    generate,
     identity_spec,
     invert_spec,
     is_identity,
@@ -155,6 +157,14 @@ class TestRandomNtri:
         # identity with all interior prefixes distinct cannot exist
         with pytest.raises(GeneratorError):
             gen_random_ntri(GeneratorConfig(width=2, min_length=48, seed=0, max_attempts=50))
+
+    def test_width_is_refused_before_drawing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("gates drawn for a width above the cap")
+
+        monkeypatch.setattr(generate, "_random_gates", no_draw)
+        with pytest.raises(WidthCapExceeded):
+            gen_random_ntri(GeneratorConfig(width=17, min_length=600000))
 
 
 class TestInteriorIrreducible:
