@@ -26,16 +26,23 @@ Cost model
 Per gate, only C-level work runs: the scan matches a whole run of gate
 tokens between markers as one match, ``findall`` splits the run into
 ``(name, body)`` pairs, and the run's gates are appended by one mapped
-lookup.  Per distinct gate token, Python checks and builds the gate once.
-``Circuit`` checks and ``format_circuit`` renders each distinct gate
-object once, found by identity in a dict built in C, so gate equality
-and hashing are never called; the tokens are then mapped per gate.
+lookup.  The run's new distinct tokens are checked and built together,
+by string, ``map`` and ``bytes.translate`` passes in C; Python visits
+each token only to report the first bad one.  ``format_circuit``
+renders each distinct gate object once, found by identity in a dict
+built in C, so gate equality and hashing are never called; the tokens
+are then mapped per gate.  ``Circuit(...)`` checks each distinct gate
+once; the parser, the edit operations and the reducers skip that check,
+as their gates already fit the width.
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import count, filterfalse, repeat
+from operator import itemgetter
 
 __all__ = [
     "Gate",
@@ -69,7 +76,7 @@ class Gate:
 
     def __post_init__(self) -> None:
         controls = self.controls
-        if type(controls) is not frozenset:  # the parser already passes one
+        if type(controls) is not frozenset:
             controls = frozenset(controls)
             object.__setattr__(self, "controls", controls)
         if self.target < 0 or controls and min(controls) < 0:
@@ -120,6 +127,15 @@ class Circuit:
                 raise ValueError(f"bracket {self.bracket} outside 0..{m}")
 
     @classmethod
+    def _of(cls, width: int, gates: tuple[Gate, ...], insertion_point: int | None = None,
+            bracket: tuple[int, int] | None = None) -> Circuit:
+        """A circuit whose gates are known to fit ``width`` and whose
+        annotations are in range, made without ``__post_init__``'s checks."""
+        c = object.__new__(cls)
+        vars(c).update(width=width, gates=gates, insertion_point=insertion_point, bracket=bracket)
+        return c
+
+    @classmethod
     def empty(cls, width: int) -> Circuit:
         return cls(width, ())
 
@@ -129,7 +145,9 @@ class Circuit:
 
 # parsing ------------------------------------------------------------------
 
-_ARITY = {"NOT": 1, "CNOT": 2, "TOF": 3, "TOF4": 4, "MCT": None}  # None: any number
+_NAMES = ("NOT", "CNOT", "TOF", "TOF4")  # the names of 1 to 4 wires
+_FIXED_ARITY = {name: k for k, name in enumerate(_NAMES, 1)}
+_ARITY = {**_FIXED_ARITY, "MCT": None}  # None: any number
 _WIRES = frozenset("abcdefghijklmnopqrstuvwxyz")
 
 # After separators, a ``wires:`` header (groups 1-2), a run of gates with the
@@ -142,6 +160,8 @@ _TOKEN_RE = re.compile(
     r"|((?:[A-Za-z][A-Za-z0-9]*\s*\([^()]*\)[\s;]*)+)|([^\s;]))"
 )
 _GATE_RE = re.compile(r"([A-Za-z][A-Za-z0-9]*)\s*\(([^()]*)\)")
+# Gate bodies without whitespace, ``;`` read as ``,``, joined by ``)``.
+_BODIES_RE = re.compile(r"[a-z](?:,[a-z])*(?:\)[a-z](?:,[a-z])*)*")
 
 
 class _BadToken(Exception):
@@ -152,33 +172,55 @@ class _BadToken(Exception):
         self.head, self.tail = head, tail
 
 
-def _build(name: str, body: str, index: dict[str, int], declared: bool) -> Gate:
-    """Check one gate token and build its gate, numbering any new wire
-    in ``index``.  Raises _BadToken."""
+def _build(tokens: list[tuple[str, str]], index: dict[str, int], declared: bool) -> list[Gate] | None:
+    """The gates of distinct gate tokens, made by C-level passes over all
+    of them, numbering new wires in ``index``; None when a token fails a
+    check of ``_check``, and the parse fails.  ``str.split()`` drops the
+    whitespace that ``str.strip()`` does, and no body holds ``)``.  Gates
+    are made as the frozen dataclass ``__init__`` makes them, with the
+    checks of ``Gate.__post_init__`` done here."""
+    names, bodies = zip(*tokens)
+    joined = "".join(")".join(bodies).split()).replace(";", ",")
+    if not _BODIES_RE.fullmatch(joined) or not _ARITY.keys() >= set(names):
+        return None
+    letters = joined.replace(",", "")
+    new = sorted(set(letters).difference(index, ")"), key=letters.find)
+    if new and declared:
+        return None
+    index.update(zip(new, count(len(index))))
+    wires = letters.encode().translate(
+        bytes.maketrans("".join(index).encode(), bytes(index.values()))).split(b")")
+    counts = [*map(len, wires)]
+    fronts = [*map(itemgetter(slice(-1)), wires)]
+    controls = [*map(frozenset, fronts)]
+    targets = [*map(itemgetter(-1), wires)]
+    if ([*map(_FIXED_ARITY.get, names, counts)] != counts
+            or [*map(len, controls)] != [*map(len, fronts)]
+            or any(map(frozenset.__contains__, controls, targets))):
+        return None
+    gates = [*map(object.__new__, repeat(Gate, len(wires)))]
+    deque(map(object.__setattr__, gates, repeat("controls"), controls), 0)
+    deque(map(object.__setattr__, gates, repeat("target"), targets), 0)
+    return gates
+
+
+def _check(name: str, body: str, index: dict[str, int], declared: bool) -> None:
+    """Raise _BadToken with the first problem of one gate token, if any."""
     arity = _ARITY.get(name, 0)
     if arity == 0:
         raise _BadToken(f"unknown gate name {name!r} at position ")
-    args = body.replace(";", ",").split(",") if body.strip() else []
+    args = [a.strip() for a in body.replace(";", ",").split(",")] if body.strip() else []
     if arity is not None and len(args) != arity:
         raise _BadToken(f"{name} takes {arity} wires, got {len(args)} at position ")
     if not args:
         raise _BadToken("MCT needs at least a target at position ")
-    idx = []
     for a in args:
-        a = a.strip()
-        i = index.get(a)
-        if i is None:
-            if a not in _WIRES:
-                raise _BadToken(f"bad wire name {a!r} at position ")
-            if declared:
-                raise _BadToken(f"wire {a!r} at position ", " not in wires: header")
-            i = index[a] = len(index)
-        idx.append(i)
-    target = idx.pop()
-    controls = frozenset(idx)
-    if target in controls or len(controls) != len(idx):
+        if a not in _WIRES:
+            raise _BadToken(f"bad wire name {a!r} at position ")
+        if declared and a not in index:
+            raise _BadToken(f"wire {a!r} at position ", " not in wires: header")
+    if len(set(args)) != len(args):
         raise _BadToken("repeated wire in gate at position ")
-    return Gate(controls, target)
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -190,12 +232,13 @@ def parse_circuit(text: str) -> Circuit:
     characters of the text with its comments removed.
 
     One regex scan splits the text into headers, markers and runs of
-    gates; ``findall`` splits each run into its gate tokens.  Each
-    distinct token is checked and built once, in order of first
-    appearance: its checks depend only on the token and the header,
-    which precedes every gate, and wire numbers only grow.  So the first
-    token that fails is also the first failing token in the text, and
-    only then is the run scanned again for its position.
+    gates; ``findall`` splits each run into its gate tokens.  The run's
+    new distinct tokens are checked and built together by ``_build``.
+    A token's checks depend only on the token and the header, which
+    precedes every gate, and wire numbers only grow.  So when the run
+    fails, ``_check`` goes through its new tokens in order of first
+    appearance, and the first that fails is also the first failing token
+    in the text; only then is the run scanned again for its position.
     """
     if "//" in text:
         text = re.sub(r"//[^\n]*", "", text)
@@ -210,14 +253,17 @@ def parse_circuit(text: str) -> Circuit:
     for m in _TOKEN_RE.finditer(text):
         if m.lastindex == 3:
             tokens = _GATE_RE.findall(m.group(3))
-            for token in dict.fromkeys(tokens):
-                if token not in built:
+            new = [*filterfalse(built.__contains__, dict.fromkeys(tokens))]
+            made = _build(new, index, declared) if new else []
+            if made is None:
+                for token in new:
                     try:
-                        built[token] = _build(*token, index, declared)
+                        _check(*token, index, declared)
                     except _BadToken as e:
                         pos = next(t.start() for t in _GATE_RE.finditer(text, *m.span(3))
                                    if t.group(1, 2) == token)
                         raise ParseError(f"{e.head}{pos}{e.tail}") from None
+            built.update(zip(new, made))
             gates += map(built.__getitem__, tokens)
         elif m.lastindex == 1:
             pos = m.start(1)
@@ -255,12 +301,12 @@ def parse_circuit(text: str) -> Circuit:
         raise ParseError("unbalanced [: bracket never closed")
     width = max(len(index), 1)
     bracket = None if bracket_start is None else (bracket_start, bracket_end)
-    return Circuit(width, tuple(gates), insertion, bracket)
+    return Circuit._of(width, tuple(gates), insertion, bracket)
 
 
 # formatting ---------------------------------------------------------------
 
-_NAMES = ("NOT", "CNOT", "TOF", "TOF4")
+_NOT_WIRES = str.maketrans("", "", "NOTCFM4(),; ")  # what a token holds besides wires
 
 
 def _wire_names(width: int) -> str:
@@ -290,17 +336,14 @@ def format_circuit(c: Circuit) -> str:
 
     A ``wires:`` header is emitted only when the gate tokens alone would
     not reproduce the width and wire order on re-parse.  One pass over
-    the distinct gate objects, found by identity, renders each and adds
-    its wires to that order; the tokens are then looked up per gate.
+    the distinct gate objects, found by identity, renders each; the
+    tokens are then looked up per gate, and the wire order is read from
+    the letters of the rendered tokens.
     """
     names = _wire_names(c.width)
-    rendered: dict[int, str] = {}
-    seen: dict[int, None] = {}
-    for key, g in dict(zip(map(id, c.gates), c.gates)).items():
-        wires = sorted(g.controls)
-        wires.append(g.target)
-        seen.update(dict.fromkeys(wires))
-        rendered[key] = _token(wires, names)
+    distinct = dict(zip(map(id, c.gates), c.gates))
+    rendered = dict(zip(distinct, [_token([*sorted(g.controls), g.target], names)
+                                   for g in distinct.values()]))
     tokens = list(map(rendered.__getitem__, map(id, c.gates)))
     # (gap, rank, mark): at one gap a closing ] comes first, then #, then [
     # and an empty bracket's ].  Inserting from the back keeps gaps valid.
@@ -313,7 +356,9 @@ def format_circuit(c: Circuit) -> str:
     for gap, _, mark in sorted(marks, reverse=True):
         tokens.insert(gap, mark)
     body = " ".join(tokens)
-    if list(seen) == list(range(c.width)) or (c.width == 1 and not seen):
+    # the wire letters in order of first appearance
+    seen = "".join(dict.fromkeys("".join(rendered.values()).translate(_NOT_WIRES)))
+    if seen == names or (c.width == 1 and not seen):
         return body
     header = f"wires: {' '.join(names)}"
     return f"{header}\n{body}" if body else header
@@ -325,7 +370,7 @@ def concat(front: Circuit, rear: Circuit) -> Circuit:
     """Join two circuits of equal width; annotations are dropped."""
     if front.width != rear.width:
         raise WidthMismatchError(f"widths differ: {front.width} vs {rear.width}")
-    return Circuit(front.width, front.gates + rear.gates)
+    return Circuit._of(front.width, front.gates + rear.gates)
 
 
 def insert_segment(host: Circuit, segment: Circuit, point: int) -> Circuit:
@@ -338,10 +383,10 @@ def insert_segment(host: Circuit, segment: Circuit, point: int) -> Circuit:
         raise WidthMismatchError(f"widths differ: {host.width} vs {segment.width}")
     if not 0 <= point <= len(host.gates):
         raise IndexError(f"insertion point {point} outside 0..{len(host.gates)}")
-    return Circuit(host.width, host.gates[:point] + segment.gates + host.gates[point:])
+    return Circuit._of(host.width, host.gates[:point] + segment.gates + host.gates[point:])
 
 
 def inverse(c: Circuit) -> Circuit:
     """Reverse the gate order.  Every MCT gate is self-inverse, so the
     result computes the inverse permutation.  Annotations are dropped."""
-    return Circuit(c.width, tuple(reversed(c.gates)))
+    return Circuit._of(c.width, c.gates[::-1])

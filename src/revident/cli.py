@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from pathlib import Path
 
-from . import bench as bench_mod
 from .circuit import (
     ParseError, WidthMismatchError, _wire_names, concat, format_circuit, insert_segment, parse_circuit,
 )
@@ -130,6 +128,10 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    import json  # on use, with the bench: the other commands load neither
+
+    from . import bench as bench_mod
+
     reports = []
     if args.suite in ("table1", "all"):
         reports.append(bench_mod.run_table1())

@@ -14,8 +14,6 @@ other id raises ``KeyError``.
 
 from __future__ import annotations
 
-from importlib.resources import files
-
 from .circuit import Circuit, parse_circuit
 
 __all__ = ["corpus_ids", "corpus_text", "load_corpus_circuit", "SUITE1_IDS", "SUITE2_IDS"]
@@ -30,8 +28,6 @@ def corpus_ids() -> tuple[str, ...]:
     return SUITE1_IDS + SUITE2_IDS
 
 
-# Resolved once; a read then costs a path join and the read.
-_CORPUS = files("revident") / "corpus"
 _IDS = frozenset(corpus_ids())
 _CIRCUITS: dict[str, Circuit] = {}
 
@@ -41,7 +37,9 @@ def corpus_text(circuit_id: str) -> str:
     accepted, so no other path can be read through this function."""
     if not isinstance(circuit_id, str) or circuit_id not in _IDS:
         raise KeyError(f"no corpus circuit {circuit_id!r}")
-    return (_CORPUS / f"{circuit_id}.rev").read_text(encoding="utf-8")
+    from importlib.resources import files  # on use: a process reading no corpus loads none
+
+    return (files("revident") / "corpus" / f"{circuit_id}.rev").read_text(encoding="utf-8")
 
 
 def load_corpus_circuit(circuit_id: str) -> Circuit:

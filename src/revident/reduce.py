@@ -196,14 +196,17 @@ def _report(
     table: Mapping[int, int],
     spec: "_FinalColumns | None",
 ) -> tuple[Circuit, ReductionReport]:
-    out = Circuit(c.width, tuple(out_gates))
+    out = Circuit._of(c.width, tuple(out_gates))
+    # With every input gate in the table, each removal's cost is known.
+    input_cost = _maybe_cost(c.gates, table)
     report = ReductionReport(
         passes=passes,
         removals=tuple(removals),
         input_gates=len(c.gates),
         output_gates=len(out_gates),
-        input_cost=_maybe_cost(c.gates, table),
-        output_cost=_maybe_cost(out_gates, table),
+        input_cost=input_cost,
+        output_cost=(_maybe_cost(out_gates, table) if input_cost is None
+                     else input_cost - sum(r.cost for r in removals)),
         input_spec=spec,
         output_spec=spec,
         comparisons=comparisons,

@@ -12,12 +12,14 @@ from revident import (
     ParseError,
     WidthMismatchError,
     concat,
+    eliminate_ntris,
     format_circuit,
     format_gate,
     insert_segment,
     inverse,
     mct,
     parse_circuit,
+    remove_trivial_identities,
 )
 
 from helpers import circuits, format_reference, parse_reference
@@ -36,6 +38,10 @@ _GATE_TEXT = st.builds(
     st.lists(st.sampled_from([*"abczA", " "]), max_size=4).map(", ".join),
     st.sampled_from(["", "", " ", ";", "; ", "\n"]),
 )
+
+# 100 gate tokens that parse, 90 of them distinct, in one run
+_HUNDRED_GOOD = "NOT(j) " * 10 + "".join(
+    f"CNOT({a}, {b}) " for a in "abcdefghij" for b in "abcdefghij" if a != b)
 
 
 def _parse_outcome(parse, text):
@@ -204,6 +210,17 @@ class TestParse:
     @example("NOT(a) # NOT(a) wires(a)")
     @example("NOT(a) CNOT(b, a) TOF(a, b, a) NOT(A)")
     @example("CNOT(a, b) [ TOF(c, d, a) MCT(e, f, a, b; c) ] TOF(a, b, a)")
+    # whitespace that str.strip() drops, around and between wires
+    @example("CNOT(a,\tb) TOF(a\n, b, c) NOT(\u00a0c) CNOT(\u2003b ,a)")
+    @example("NOT(a) CNOT(a\u00a0b, c)")
+    @example("NOT(a) TOF(a, b\u2003c, d)")
+    @example("wires: a b\nCNOT(b,\ta) NOT(\nb)")
+    @example("MCT(a; b; c)")
+    @example("NOT(a) NOT()")
+    @example(_HUNDRED_GOOD + "TOF(a, b, 1) NOT(b)")
+    @example(_HUNDRED_GOOD + "NOT(k)")
+    @example("NOT(a) CNOT(a, b) # NOT(b) TOF(b, a, b) NOT(c)")
+    @example("CNOT(b, a) # TOF(c, a, d) NOT(e) [ CNOT(e, f) ] NOT(g)")
     @settings(max_examples=600)
     def test_matches_reference_parser(self, text):
         outcome = _parse_outcome(parse_circuit, text)
@@ -302,6 +319,34 @@ class TestDistinctObjects:
         with pytest.raises(ValueError) as e:
             Circuit(width, gates)
         assert str(e.value) == f"gate {bad[0]} uses a wire outside width {width}"
+
+
+class TestUncheckedResults:
+    """The parser, the edit operations and the reducers wrap their gates
+    without the checks of ``Circuit(...)``; each result must be the
+    circuit the checking constructor builds from the same values."""
+
+    @staticmethod
+    def _assert_checked(out, insertion_point=None, bracket=None):
+        checked = Circuit(out.width, out.gates, insertion_point, bracket)
+        assert out == checked and type(out.gates) is tuple
+        assert format_circuit(out) == format_circuit(checked)
+
+    @given(circuits(max_width=6, max_gates=12), circuits(max_width=6, max_gates=12),
+           st.integers(min_value=0, max_value=12))
+    @settings(max_examples=200)
+    def test_results_equal_checked_circuits(self, c, other, point):
+        parsed = parse_circuit(format_circuit(c))
+        self._assert_checked(parsed, parsed.insertion_point, parsed.bracket)
+        self._assert_checked(inverse(c))
+        self._assert_checked(concat(c, c))
+        self._assert_checked(insert_segment(c, inverse(c), min(point, len(c))))
+        if other.width == c.width:
+            self._assert_checked(concat(c, other))
+            self._assert_checked(insert_segment(other, c, min(point, len(other))))
+        for reduce in (eliminate_ntris, remove_trivial_identities):
+            self._assert_checked(reduce(concat(c, inverse(c)))[0])
+            self._assert_checked(reduce(c)[0])
 
 
 class TestEditing:

@@ -541,6 +541,17 @@ def test_bench_output_is_golden(argv, digest):
     assert out.splitlines() == [f"0 {digest}"] * 2
 
 
+def test_cli_import_loads_no_bench_json_or_resources():
+    # a one-shot command pays for what importing the CLI loads; without
+    # site, nothing else in the process has loaded these modules either
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import revident.cli; "
+            "print([m for m in ('revident.bench', 'json', 'importlib.resources') if m in sys.modules])")
+    src = str(Path(revident.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-S", "-c", code, src],
+                         capture_output=True, text=True, timeout=60, check=True).stdout
+    assert out == "[]\n"
+
+
 def test_circuit_output_reparses(rev, capsys):
     path = rev("c.rev", corpus_text("app1_1a"))
     assert main(["reduce", path]) == 0

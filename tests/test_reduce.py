@@ -10,6 +10,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revident import (
     Circuit,
@@ -31,10 +33,13 @@ from revident import (
 )
 from revident import semantics
 from revident.bench import surviving_indices
-from revident.reduce import _report_json
+from revident.cost import DEFAULT_COST_TABLE
+from revident.reduce import _maybe_cost, _report_json
 from revident.semantics import _first_repeat
 
-from helpers import eliminate_reference, first_hit, late_hit_circuit, prefix_trace, random_circuit
+from helpers import (
+    circuits, eliminate_reference, first_hit, late_hit_circuit, prefix_trace, random_circuit,
+)
 
 GOLDEN = "wires: a b c\nCNOT(b, a) TOF(a, b, c) CNOT(c, b) CNOT(c, b) TOF(a, b, c)"
 
@@ -397,6 +402,19 @@ class TestReport:
         for r in copies:
             assert r == lazy and r.output_spec is r.input_spec == simulate(c)
         assert calls == [3, 3, 3]
+
+    # the output cost is the input cost less the removals' costs; it
+    # must equal a second cost pass over the output, with and without
+    # entries for every gate
+    @given(circuits(max_width=6, max_gates=14, max_controls=4), st.integers(0, 14),
+           st.sampled_from([DEFAULT_COST_TABLE, {0: 1, 1: 3, 2: 7}]),
+           st.sampled_from([eliminate_ntris, remove_trivial_identities]))
+    @settings(max_examples=300)
+    def test_output_cost_matches_a_cost_pass(self, c, k, table, reduce):
+        # the last k gates undone in reverse order give removals to subtract
+        c = Circuit(c.width, c.gates + c.gates[::-1][:k])
+        out, report = reduce(c, table)
+        assert report.output_cost == _maybe_cost(out.gates, table)
 
     def test_removal_validation(self):
         with pytest.raises(ValueError):
