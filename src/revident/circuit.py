@@ -27,13 +27,14 @@ Per gate, only C-level work runs: the scan matches a whole run of gate
 tokens between markers as one match, ``findall`` splits the run into
 ``(name, body)`` pairs, and the run's gates are appended by one mapped
 lookup.  The run's new distinct tokens are checked and built together,
-by string, ``map`` and ``bytes.translate`` passes in C; Python visits
-each token only to report the first bad one.  ``format_circuit``
-renders each distinct gate object once, found by identity in a dict
-built in C, so gate equality and hashing are never called; the tokens
-are then mapped per gate.  ``Circuit(...)`` checks each distinct gate
-once; the parser, the edit operations and the reducers skip that check,
-as their gates already fit the width.
+by string, ``map`` and ``bytes.translate`` passes in C.  Only when the
+run fails does ``_check`` return the first problem of its new tokens,
+in order of first appearance; then the run is scanned for that token's
+position.  ``format_circuit`` renders each distinct gate object once,
+found by identity in a dict built in C, so gate equality and hashing
+are never called; the tokens are then mapped per gate.  ``Circuit(...)``
+checks each distinct gate once; the parser, the edit operations and the
+reducers skip that check, as their gates already fit the width.
 """
 
 from __future__ import annotations
@@ -164,14 +165,6 @@ _GATE_RE = re.compile(r"([A-Za-z][A-Za-z0-9]*)\s*\(([^()]*)\)")
 _BODIES_RE = re.compile(r"[a-z](?:,[a-z])*(?:\)[a-z](?:,[a-z])*)*")
 
 
-class _BadToken(Exception):
-    """A gate token that does not parse; its position, known only to the
-    caller, goes between ``head`` and ``tail`` of the message."""
-
-    def __init__(self, head: str, tail: str = "") -> None:
-        self.head, self.tail = head, tail
-
-
 def _build(tokens: list[tuple[str, str]], index: dict[str, int], declared: bool) -> list[Gate] | None:
     """The gates of distinct gate tokens, made by C-level passes over all
     of them, numbering new wires in ``index``; None when a token fails a
@@ -204,23 +197,24 @@ def _build(tokens: list[tuple[str, str]], index: dict[str, int], declared: bool)
     return gates
 
 
-def _check(name: str, body: str, index: dict[str, int], declared: bool) -> None:
-    """Raise _BadToken with the first problem of one gate token, if any."""
+def _check(name: str, body: str, index: dict[str, int], declared: bool) -> tuple[str, str] | None:
+    """A gate token's first problem, as the message before and after its position, or None."""
     arity = _ARITY.get(name, 0)
     if arity == 0:
-        raise _BadToken(f"unknown gate name {name!r} at position ")
+        return f"unknown gate name {name!r} at position ", ""
     args = [a.strip() for a in body.replace(";", ",").split(",")] if body.strip() else []
     if arity is not None and len(args) != arity:
-        raise _BadToken(f"{name} takes {arity} wires, got {len(args)} at position ")
+        return f"{name} takes {arity} wires, got {len(args)} at position ", ""
     if not args:
-        raise _BadToken("MCT needs at least a target at position ")
+        return "MCT needs at least a target at position ", ""
     for a in args:
         if a not in _WIRES:
-            raise _BadToken(f"bad wire name {a!r} at position ")
+            return f"bad wire name {a!r} at position ", ""
         if declared and a not in index:
-            raise _BadToken(f"wire {a!r} at position ", " not in wires: header")
+            return f"wire {a!r} at position ", " not in wires: header"
     if len(set(args)) != len(args):
-        raise _BadToken("repeated wire in gate at position ")
+        return "repeated wire in gate at position ", ""
+    return None
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -236,9 +230,9 @@ def parse_circuit(text: str) -> Circuit:
     new distinct tokens are checked and built together by ``_build``.
     A token's checks depend only on the token and the header, which
     precedes every gate, and wire numbers only grow.  So when the run
-    fails, ``_check`` goes through its new tokens in order of first
-    appearance, and the first that fails is also the first failing token
-    in the text; only then is the run scanned again for its position.
+    fails, ``_check`` returns the first problem of its new tokens in
+    order of first appearance, which is also the first in the text; only
+    then is the run scanned again for that token's position.
     """
     if "//" in text:
         text = re.sub(r"//[^\n]*", "", text)
@@ -256,13 +250,10 @@ def parse_circuit(text: str) -> Circuit:
             new = [*filterfalse(built.__contains__, dict.fromkeys(tokens))]
             made = _build(new, index, declared) if new else []
             if made is None:
-                for token in new:
-                    try:
-                        _check(*token, index, declared)
-                    except _BadToken as e:
-                        pos = next(t.start() for t in _GATE_RE.finditer(text, *m.span(3))
-                                   if t.group(1, 2) == token)
-                        raise ParseError(f"{e.head}{pos}{e.tail}") from None
+                token, (head, tail) = next((t, p) for t in new if (p := _check(*t, index, declared)))
+                pos = next(t.start() for t in _GATE_RE.finditer(text, *m.span(3))
+                           if t.group(1, 2) == token)
+                raise ParseError(f"{head}{pos}{tail}")
             built.update(zip(new, made))
             gates += map(built.__getitem__, tokens)
         elif m.lastindex == 1:

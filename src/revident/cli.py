@@ -14,9 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .circuit import (
-    ParseError, WidthMismatchError, _wire_names, concat, format_circuit, insert_segment, parse_circuit,
-)
+from .circuit import ParseError, _wire_names, concat, format_circuit, insert_segment, parse_circuit
 from .cost import CostTableError, DEFAULT_COST_TABLE, circuit_cost, gate_count, load_cost_table
 from .generate import GeneratorConfig, GeneratorError, gen_random_circuit, gen_random_ntri
 from .reduce import _report_json, eliminate_ntris, remove_trivial_identities
@@ -246,7 +244,7 @@ def main(argv: "list[str] | None" = None) -> int:
         print(f"error: width {e.width} is too wide; revident handles at most "
               f"{DEFAULT_WIDTH_CAP} wires", file=sys.stderr)
         return 2
-    except (CliError, WidthMismatchError, CostTableError, GeneratorError, ValueError) as e:
+    except (CliError, CostTableError, GeneratorError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -8,9 +8,9 @@ explicit table entry raises ``CostTableError`` rather than guessing.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 from .circuit import Circuit, Gate
 

@@ -31,8 +31,8 @@ share one removal discipline:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
-from typing import Mapping
 
 from .circuit import Circuit, Gate
 from .cost import DEFAULT_COST_TABLE, _sum_costs

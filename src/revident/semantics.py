@@ -53,9 +53,9 @@ from __future__ import annotations
 
 import random
 import struct
+from collections.abc import Iterable, Iterator
 from functools import cache
 from operator import mul
-from typing import Iterable, Iterator
 
 from .circuit import Circuit, Gate, WidthMismatchError
 

@@ -221,6 +221,10 @@ class TestParse:
     @example(_HUNDRED_GOOD + "NOT(k)")
     @example("NOT(a) CNOT(a, b) # NOT(b) TOF(b, a, b) NOT(c)")
     @example("CNOT(b, a) # TOF(c, a, d) NOT(e) [ CNOT(e, f) ] NOT(g)")
+    # the first bad token repeats, and a later one fails an earlier check
+    @example("NOT(a) CNOT(b, b) NOT(a) CNOT(b, b) FOO(c)")
+    # a token built in an earlier run comes before the bad one
+    @example("wires: a b\nNOT(a) # NOT(a) TOF(a, b, c) TOF(a, b, c)")
     @settings(max_examples=600)
     def test_matches_reference_parser(self, text):
         outcome = _parse_outcome(parse_circuit, text)
