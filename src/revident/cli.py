@@ -17,7 +17,7 @@ from pathlib import Path
 from .circuit import ParseError, _wire_names, concat, format_circuit, insert_segment, parse_circuit
 from .cost import CostTableError, DEFAULT_COST_TABLE, circuit_cost, gate_count, load_cost_table
 from .generate import GeneratorConfig, GeneratorError, gen_random_circuit, gen_random_ntri
-from .reduce import _report_json, eliminate_ntris, remove_trivial_identities
+from .reduce import _json, _report_json, eliminate_ntris, remove_trivial_identities
 from .semantics import DEFAULT_WIDTH_CAP, WidthCapExceeded, _columns, _spec_text, equivalent
 
 
@@ -126,9 +126,7 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    import json  # on use, with the bench: the other commands load neither
-
-    from . import bench as bench_mod
+    from . import bench as bench_mod  # on use: the other commands do not load it
 
     reports = []
     if args.suite in ("table1", "all"):
@@ -139,7 +137,7 @@ def _cmd_bench(args) -> int:
         payload = reports[0].to_dict() if len(reports) == 1 else {
             "suites": [r.to_dict() for r in reports]
         }
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))  # the one JSON writer, also behind reduce --report
     else:
         print("\n\n".join(bench_mod.render_report(r) for r in reports))
     return 0 if all(r.passed for r in reports) else 1

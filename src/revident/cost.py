@@ -9,7 +9,8 @@ explicit table entry raises ``CostTableError`` rather than guessing.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from operator import attrgetter
+from itertools import repeat
+from operator import attrgetter, getitem
 from types import MappingProxyType
 
 from .circuit import Circuit, Gate
@@ -47,7 +48,7 @@ _CONTROLS = attrgetter("controls")
 def _sum_costs(gates: Iterable[Gate], table: Mapping[int, int]) -> int:
     """Total cost by one table lookup per gate, in C.  Raises KeyError
     when some control count has no entry."""
-    return sum(map(table.__getitem__, map(len, map(_CONTROLS, gates))))
+    return sum(map(getitem, repeat(table), map(len, map(_CONTROLS, gates))))
 
 
 def circuit_cost(c: Circuit, table: Mapping[int, int] = DEFAULT_COST_TABLE) -> int:

@@ -225,7 +225,7 @@ _DIGIT_CHARS = bytes.maketrans(bytes([*range(0x00, 0x0a), *range(0x11, 0x1b)]),
 
 def _spec_text(cols: _Columns, sep: str = ",") -> str:
     """``format_spec(_table(cols))`` made on the columns, or, with
-    ``sep=",\\n    "``, the list as ``json.dumps(indent=2)`` nests it.
+    ``sep=",\\n    "``, the list as indent-2 JSON nests it in a field.
     A bit-sliced double dabble (shift and add 3) turns the ``n`` columns
     into four columns per decimal digit, and each digit becomes one byte
     plane of the text, which holds ``digits + len(sep)`` bytes per input
@@ -248,7 +248,7 @@ def _spec_text(cols: _Columns, sep: str = ",") -> str:
         bcd.insert(0, col)  # shift left by one bit, bringing in col
         bcd.pop()
     ones = _start(len(cols)).ones
-    space = sep[1:].encode()  # json.dumps opens with sep's whitespace, closes one indent out
+    space = sep[1:].encode()  # indent-2 JSON opens with sep's whitespace, closes one indent out
     stride = digits + len(sep)  # input x's digits and sep start at 1 + len(space) + stride * x
     text = bytearray(b"[" + space) + bytearray(bytes(digits) + sep.encode()) * size
     above = 0  # inputs with a nonzero digit above digit j

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 
+import pytest
+
 from revident import Circuit, bench, corpus, mct, remove_trivial_identities
 from revident.cli import main
 from revident.bench import (
@@ -199,3 +201,12 @@ def test_every_bench_all_recomputes_every_row(monkeypatch, capsys):
         assert counts == ROW_WORK
         counts.clear()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("suite", ["table1", "table2", "all"])
+def test_bench_json_matches_encoder(suite, capsys):
+    # the json module's own indent-2 encoder is the reference for the bytes
+    assert main(["bench", suite, "--json"]) == 0
+    t1, t2 = run_table1().to_dict(), run_table2().to_dict()
+    expected = {"table1": t1, "table2": t2, "all": {"suites": [t1, t2]}}[suite]
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"

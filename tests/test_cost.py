@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import pytest
 
 from revident import (
@@ -62,3 +64,31 @@ def test_parse_cost_table_merges_over_defaults():
 def test_parse_cost_table_rejects_bad_lines(text):
     with pytest.raises(ValueError):
         parse_cost_table(text)
+
+
+class _Table(Mapping):
+    """A read-only mapping that is not a dict."""
+
+    def __init__(self, entries):
+        self._entries = dict(entries)
+
+    def __getitem__(self, key):
+        return self._entries[key]
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self):
+        return len(self._entries)
+
+
+def test_any_mapping_costs_as_the_equal_dict():
+    c = parse_circuit("wires: a b c d e f g\nNOT(a) MCT(a, b, c, d, e, f; g) MCT(a, b, c, d; e)")
+    entries = {**DEFAULT_COST_TABLE, 4: 29, 6: 61}
+    assert circuit_cost(c, _Table(entries)) == circuit_cost(c, entries) == 1 + 61 + 29
+    errors = []
+    for table in (_Table(DEFAULT_COST_TABLE), dict(DEFAULT_COST_TABLE)):
+        with pytest.raises(CostTableError) as e:
+            circuit_cost(c, table)
+        errors.append(str(e.value))
+    assert errors == ["no cost entry for a 6-control gate; extend the table explicitly"] * 2

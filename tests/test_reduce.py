@@ -10,7 +10,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revident import (
@@ -34,7 +34,7 @@ from revident import (
 from revident import semantics
 from revident.bench import surviving_indices
 from revident.cost import DEFAULT_COST_TABLE
-from revident.reduce import _maybe_cost, _report_json
+from revident.reduce import _json, _maybe_cost, _report_json
 from revident.semantics import _first_repeat
 
 from helpers import (
@@ -421,6 +421,32 @@ class TestReport:
             Removal(2, 2, 0, None)
         with pytest.raises(ValueError):
             Removal(0, 2, 3, None)
+
+
+# JSON values _json writes: text of every kind (non-ASCII, quotes,
+# backslashes, control characters), ints past 64 bits, nested containers
+_JSON_LEAVES = st.none() | st.booleans() | st.integers(-2**80, 2**80) | st.text()
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    @given(_JSON_VALUES, st.sampled_from(["\n", "\n  "]))
+    @example({"k\"\\": ["\u00e9\u2028\ud800\x00\x1f\"\\/", 2**64 + 1, -2**70, True, False, None]}, "\n  ")
+    @example({"a": [], "b": {}, "c": [[], {}, ()], "": [{"d": []}]}, "\n")
+    @settings(max_examples=500)
+    def test_matches_encoder(self, value, pad):
+        assert _json(value, pad) == json.dumps(value, indent=2).replace("\n", pad)
+
+    @pytest.mark.parametrize("value", [1.5, {1, 2}, {1: "a"}, [{"a": 0.0}]],
+                             ids=["float", "set", "int-key", "nested-float"])
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            _json(value)
 
 
 class TestIrreducible:
