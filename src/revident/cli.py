@@ -47,7 +47,7 @@ def _cost_table(path: "str | None"):
 
 def _cmd_simulate(args) -> int:
     c = _read_circuit(args.file)
-    print(_spec_text(_columns(c, DEFAULT_WIDTH_CAP)))
+    print("[", _spec_text(_columns(c, DEFAULT_WIDTH_CAP)), "]", sep="")
     return 0
 
 

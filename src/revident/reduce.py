@@ -113,8 +113,8 @@ class _SpecField:
 
 def _plain(value):
     """A field's value as ``to_dict`` gives it: a sequence as a list, each
-    ``Removal`` in it as a dict."""
-    if not isinstance(value, (tuple, list)):
+    ``Removal`` in it as a dict.  ``_FinalColumns`` are left for ``_json``."""
+    if type(value) is _FinalColumns or not isinstance(value, (tuple, list)):
         return value
     return [asdict(r) for r in value] if value and isinstance(value[0], Removal) else list(value)
 
@@ -161,52 +161,52 @@ class ReductionReport:
         return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
 
 
-def _json(value, pad: str = "\n") -> str:
-    """What the ``json`` module's ``dumps(value, indent=2)`` returns, with
-    each newline replaced by ``pad``, byte for byte.  ``value`` is made of
-    dicts with ``str`` keys, lists, tuples, ``str``, ``int``, ``bool`` and
-    None, of exactly those types; anything else raises TypeError.  Each
-    container is joined in Python and each leaf written in C.  Every JSON
-    output of ``revident`` goes through here."""
+def _json(value) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte: the one JSON writer.
+    ``value`` holds dicts with ``str`` keys, lists, tuples, ``str``, ``int``,
+    ``bool``, None and ``_FinalColumns`` (written from the columns by
+    ``_spec_text``, once per object and depth); other types raise TypeError."""
     from json.encoder import encode_basestring_ascii as text  # on use: no json on import
+    parts: list[str] = []  # every piece of the text, joined once
+    specs: dict[tuple[int, str], str] = {}  # _spec_text's entries by (id(columns), pad)
 
-    def write(v, pad: str) -> str:
+    def write(v, pad: str) -> None:
         t = type(v)
         if t is str:
-            return text(v)
-        if t is int:
-            return int.__repr__(v)
-        if t is bool:
-            return "true" if v else "false"
-        if v is None:
-            return "null"
-        inner = pad + "  "
-        if t is dict:
-            items, ends = [text(k) + ": " + write(x, inner) for k, x in v.items()], "{}"
-        elif t is list or t is tuple:
-            items, ends = [write(x, inner) for x in v], "[]"
+            parts.append(text(v))
+        elif t is int:
+            parts.append(int.__repr__(v))
+        elif t is bool:
+            parts.append("true" if v else "false")
+        elif v is None:
+            parts.append("null")
+        elif t is _FinalColumns:  # never empty: a table has 2**width entries
+            if (id(v), pad) not in specs:
+                specs[id(v), pad] = _spec_text(v, "," + pad + "  ")
+            parts.extend(("[", pad + "  ", specs[id(v), pad], pad, "]"))
+        elif not v and (t is dict or t is list or t is tuple):
+            parts.append("{}" if t is dict else "[]")
+        elif t is dict or t is list or t is tuple:
+            first, inner = len(parts), pad + "  "
+            for x in v:
+                parts.extend((",", inner))
+                if t is dict:  # x is a key
+                    parts.extend((text(x), ": "))
+                    x = v[x]
+                write(x, inner)
+            parts[first] = "{" if t is dict else "["  # in place of the first item's comma
+            parts.extend((pad, "}" if t is dict else "]"))
         else:
             raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
-        return ends[0] + inner + ("," + inner).join(items) + pad + ends[1] if items else ends
 
-    return write(value, pad)
+    write(value, "\n")
+    del write  # write refers to itself: without the del, parts lives on until a collection
+    return "".join(parts)
 
 
 def _report_json(report: ReductionReport) -> str:
-    """What ``json``'s ``dumps(report.to_dict(), indent=2)`` returns, byte
-    for byte, written field by field with ``_json``.  Fields that still hold
-    ``_FinalColumns`` are written from the columns by ``_spec_text`` and
-    build no table; a value held by two fields is written once."""
-    texts: dict[int, str] = {}
-    parts = ["{"]
-    for f in fields(report):
-        value = vars(report)[f.name]
-        if id(value) not in texts:
-            texts[id(value)] = (_spec_text(value, ",\n    ") if type(value) is _FinalColumns
-                                else _json(_plain(value), "\n  "))
-        parts += "\n  ", _json(f.name), ": ", texts[id(value)], ","
-    parts[-1] = "\n}"
-    return "".join(parts)
+    """``json.dumps(report.to_dict(), indent=2)``, byte for byte, by one ``_json`` call."""
+    return _json({f.name: _plain(vars(report)[f.name]) for f in fields(report)})
 
 
 def _maybe_cost(gates: "list[Gate] | tuple[Gate, ...]", table: Mapping[int, int]) -> int | None:

@@ -12,9 +12,9 @@ a gate is ``cols[t] ^= AND(cols[c] for c in controls)``, applied in
 place to one live list of columns by ``_run``.  The tuple form is built
 by ``_table`` only where a specification leaves the module as a value.
 Where it leaves as text, for ``simulate`` or ``reduce --report``,
-``_spec_text`` makes it straight from the columns: the decimal digits
-are computed bit-sliced and the text is assembled in bulk byte
-operations, with no tuple and no ``str`` per entry.  Both boundaries
+``_spec_text`` writes its entries from the columns, for the caller to
+bracket: digits are computed bit-sliced and the text assembled in bulk
+byte operations, with no tuple and no ``str`` per entry.  Both boundaries
 turn columns into byte planes with ``_spread``; ``_slice`` is
 ``_table``'s inverse.  Widths above ``DEFAULT_WIDTH_CAP`` are rejected
 unless the caller raises ``max_width``, before anything is built.  Only
@@ -224,8 +224,8 @@ _DIGIT_CHARS = bytes.maketrans(bytes([*range(0x00, 0x0a), *range(0x11, 0x1b)]),
 
 
 def _spec_text(cols: _Columns, sep: str = ",") -> str:
-    """``format_spec(_table(cols))`` made on the columns, or, with
-    ``sep=",\\n    "``, the list as indent-2 JSON nests it in a field.
+    """``format_spec(_table(cols))`` made on the columns, without its
+    brackets: the entries joined by ``sep``; callers add the brackets.
     A bit-sliced double dabble (shift and add 3) turns the ``n`` columns
     into four columns per decimal digit, and each digit becomes one byte
     plane of the text, which holds ``digits + len(sep)`` bytes per input
@@ -248,9 +248,8 @@ def _spec_text(cols: _Columns, sep: str = ",") -> str:
         bcd.insert(0, col)  # shift left by one bit, bringing in col
         bcd.pop()
     ones = _start(len(cols)).ones
-    space = sep[1:].encode()  # indent-2 JSON opens with sep's whitespace, closes one indent out
-    stride = digits + len(sep)  # input x's digits and sep start at 1 + len(space) + stride * x
-    text = bytearray(b"[" + space) + bytearray(bytes(digits) + sep.encode()) * size
+    stride = digits + len(sep)  # input x's digits and sep start at stride * x
+    text = bytearray(bytes(digits) + sep.encode()) * size
     above = 0  # inputs with a nonzero digit above digit j
     for j in reversed(range(digits)):
         d0, d1, d2, d3 = bcd[4 * j:4 * j + 4]
@@ -261,8 +260,8 @@ def _spec_text(cols: _Columns, sep: str = ",") -> str:
             d1 |= inner
             d3 |= inner
         plane = _spread((d0, d1, d2, d3), size, ones) | (ones << 4 if j else 0)
-        text[len(space) + digits - j::stride] = plane.to_bytes(size, "little")
-    text[-len(sep):] = space[:-2] + b"]"
+        text[digits - 1 - j::stride] = plane.to_bytes(size, "little")
+    del text[len(text) - len(sep):]
     return text.translate(_DIGIT_CHARS, b"\x10").decode("ascii")
 
 

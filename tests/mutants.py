@@ -1,0 +1,122 @@
+"""Mutation smoke for the oracle tests: every listed mutant must be caught.
+
+Run from anywhere with ``python tests/mutants.py``; it needs only the
+standard library and the test dependencies, and pytest does not collect
+it.  The script copies ``src``, ``tests`` and ``pyproject.toml`` to a
+temporary directory.  For each mutant it rebuilds the copy's ``src``,
+applies the mutant's ``(file, old, new)`` text patches, each ``old``
+occurring exactly once in its file so that a refactor which moves the
+line fails loudly, and runs the mutant's test node ids there with
+``PYTHONPATH=<copy>/src``.  A mutant is caught when at least one of
+those tests fails.  Before any mutant, the unpatched copy must pass
+every named test.
+
+Exit status: 0 when every mutant is caught, 1 when one survives, 2 when
+a patch no longer applies or a test run errors instead of failing.
+When a fast path is added, its mutant is added to ``MUTANTS``.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_JSON_ENCODER = "tests/test_reduce.py::TestJsonWriter::test_matches_encoder"
+_INDEX = "tests/test_reduce.py::TestFingerprintIndex::"
+
+# (what the mutant breaks, [(file in src/revident, old, new), ...], [test node ids])
+MUTANTS = [
+    ("_json: the closing pad dropped",
+     [("reduce.py", 'parts.extend((pad, "}" if t is dict else "]"))',
+       'parts.append("}" if t is dict else "]")')],
+     [_JSON_ENCODER]),
+    ("_json: true and false swapped",
+     [("reduce.py", '"true" if v else "false"', '"false" if v else "true"')],
+     [_JSON_ENCODER]),
+    ("_json: the once-per-object specification cache bypassed",
+     [("reduce.py", "if (id(v), pad) not in specs:", "if True:")],
+     ["tests/test_reduce.py::TestReport::test_shared_specification_is_written_once"]),
+    ("_plain: a field's _FinalColumns turned into a plain list",
+     [("reduce.py", "if type(value) is _FinalColumns or not isinstance", "if not isinstance")],
+     ["tests/test_reduce.py::TestReport::test_report_json_matches_encoder"]),
+    ("_spec_text: the trailing separator kept",
+     [("semantics.py", "del text[len(text) - len(sep):]", "pass")],
+     ["tests/test_semantics.py::test_spec_text_matches_formatted_table"]),
+    ("_cuts: the confirmation skipped",
+     [("semantics.py",
+       "if tuple(cols) == identity if j == 0 else _spans_identity(list(identity), span):",
+       "if True:")],
+     [_INDEX + "test_constant_fingerprint_matches_restarting_scan"]),
+    ("_cuts: index starts empty, so a whole-circuit hit is ignored",
+     [("semantics.py", "index: dict[int, list[int]] = {fp: [0]}",
+       "index: dict[int, list[int]] = {}")],
+     [_INDEX + "test_first_repeat_matches_bruteforce"]),
+    ("_cuts: two hashes per gate",
+     [("semantics.py", "h = _column_hash(col)\n",
+       "h = _column_hash(col) + 0 * _column_hash(col)\n")],
+     [_INDEX + "test_work_is_linear_in_gates"]),
+    ("surviving_indices: the replay off by one",
+     [("bench.py", "del idx[r.start_gap : r.end_index]",
+       "del idx[r.start_gap + 1 : r.end_index + 1]")],
+     ["tests/test_bench.py::test_surviving_indices_replay"]),
+]
+
+
+def _patch(src: Path, file: str, old: str, new: str) -> None:
+    path = src / "revident" / file
+    text = path.read_text(encoding="utf-8")
+    if text.count(old) != 1:
+        print(f"error: {file}: {old!r} occurs {text.count(old)} times, not once", file=sys.stderr)
+        raise SystemExit(2)
+    path.write_text(text.replace(old, new), encoding="utf-8")
+
+
+def _pytest(tree: Path, tests: list[str]) -> int:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def main() -> int:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", "*.pyc")
+    with tempfile.TemporaryDirectory(prefix="revident-mutants-") as tmp:
+        tree = Path(tmp)
+        shutil.copytree(ROOT / "tests", tree / "tests", ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", tree)
+        src = tree / "src"
+        shutil.copytree(ROOT / "src", src, ignore=ignore)
+        env = dict(os.environ, PYTHONPATH=str(src))
+        where = subprocess.run([sys.executable, "-c", "import revident; print(revident.__file__)"],
+                               cwd=tree, env=env, capture_output=True, text=True).stdout.strip()
+        if not Path(where).is_relative_to(src):
+            print(f"error: the copy's tests would import revident from {where!r}", file=sys.stderr)
+            return 2
+        every_test = list(dict.fromkeys(t for *_, tests in MUTANTS for t in tests))
+        if (rc := _pytest(tree, every_test)) != 0:
+            print(f"error: the named tests fail unpatched (pytest exit {rc})", file=sys.stderr)
+            return 2
+        status = 0
+        for name, patches, tests in MUTANTS:
+            shutil.rmtree(src)
+            shutil.copytree(ROOT / "src", src, ignore=ignore)
+            for file, old, new in patches:
+                _patch(src, file, old, new)
+            start = time.perf_counter()
+            rc = _pytest(tree, tests)
+            verdict = {0: "SURVIVED", 1: "caught"}.get(rc, f"ERROR (pytest exit {rc})")
+            print(f"{verdict:<10} {time.perf_counter() - start:5.1f} s  {name}")
+            if rc != 1:
+                status = max(status, 1 if rc == 0 else 2)
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

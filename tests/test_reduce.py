@@ -4,6 +4,7 @@ both its names, and the reduction reports."""
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import pickle
 import random
@@ -34,8 +35,8 @@ from revident import (
 from revident import semantics
 from revident.bench import surviving_indices
 from revident.cost import DEFAULT_COST_TABLE
-from revident.reduce import _json, _maybe_cost, _report_json
-from revident.semantics import _first_repeat
+from revident.reduce import _FinalColumns, _json, _maybe_cost, _report_json
+from revident.semantics import _columns, _first_repeat, _table
 
 from helpers import (
     circuits, eliminate_reference, first_hit, late_hit_circuit, prefix_trace, random_circuit,
@@ -416,6 +417,42 @@ class TestReport:
         out, report = reduce(c, table)
         assert report.output_cost == _maybe_cost(out.gates, table)
 
+    # the report bytes against the json module's encoder, for both
+    # reducers, with specifications None (the trivial pass over its cap)
+    # and costs None (no 3-control entry), fresh and after a read of
+    # input_spec, which stores the tuple in both fields
+    @given(circuits(max_width=8, max_gates=14, max_controls=3), st.integers(0, 14),
+           st.sampled_from([DEFAULT_COST_TABLE, {0: 1, 1: 1, 2: 5}]),
+           st.sampled_from([eliminate_ntris, remove_trivial_identities,
+                            functools.partial(remove_trivial_identities, max_width=0)]),
+           st.booleans())
+    @settings(max_examples=300)
+    def test_report_json_matches_encoder(self, c, k, table, reduce, read):
+        c = Circuit(c.width, c.gates + c.gates[::-1][:k])
+        _, report = reduce(c, table)
+        if read:
+            report.input_spec
+        assert _report_json(report) == json.dumps(report.to_dict(), indent=2)
+
+    @pytest.mark.parametrize("reduce", [eliminate_ntris, remove_trivial_identities])
+    def test_shared_specification_is_written_once(self, reduce, monkeypatch):
+        texts, tables = [], []
+
+        def counting_text(cols, sep=","):
+            texts.append(sep)
+            return semantics._spec_text(cols, sep)
+
+        def counting_table(cols):
+            tables.append(len(cols))
+            return semantics._table(cols)
+
+        monkeypatch.setattr("revident.reduce._spec_text", counting_text)
+        monkeypatch.setattr("revident.reduce._table", counting_table)
+        _, report = reduce(parse_circuit(GOLDEN))
+        text = _report_json(report)
+        assert texts == [",\n    "] and tables == []
+        assert text == json.dumps(report.to_dict(), indent=2)
+
     def test_removal_validation(self):
         with pytest.raises(ValueError):
             Removal(2, 2, 0, None)
@@ -435,12 +472,22 @@ _JSON_VALUES = st.recursive(
 
 
 class TestJsonWriter:
-    @given(_JSON_VALUES, st.sampled_from(["\n", "\n  "]))
-    @example({"k\"\\": ["\u00e9\u2028\ud800\x00\x1f\"\\/", 2**64 + 1, -2**70, True, False, None]}, "\n  ")
-    @example({"a": [], "b": {}, "c": [[], {}, ()], "": [{"d": []}]}, "\n")
+    @given(_JSON_VALUES)
+    @example({"k\"\\": ["\u00e9\u2028\ud800\x00\x1f\"\\/", 2**64 + 1, -2**70, True, False, None]})
+    @example({"a": [], "b": {}, "c": [[], {}, ()], "": [{"d": []}]})
     @settings(max_examples=500)
-    def test_matches_encoder(self, value, pad):
-        assert _json(value, pad) == json.dumps(value, indent=2).replace("\n", pad)
+    def test_matches_encoder(self, value):
+        assert _json(value) == json.dumps(value, indent=2)
+        assert _json({"k": value}) == json.dumps({"k": value}, indent=2)
+
+    # columns are written as their table's list at any depth; the same
+    # columns at two depths get two indents
+    @given(circuits(max_width=8, max_gates=10))
+    @settings(max_examples=100)
+    def test_final_columns_match_encoder_of_their_table(self, c):
+        cols = _FinalColumns(_columns(c, 8))
+        table = list(_table(cols))
+        assert _json({"a": [cols], "b": cols}) == json.dumps({"a": [table], "b": table}, indent=2)
 
     @pytest.mark.parametrize("value", [1.5, {1, 2}, {1: "a"}, [{"a": 0.0}]],
                              ids=["float", "set", "int-key", "nested-float"])

@@ -108,9 +108,9 @@ def test_spec_text_matches_formatted_table(width):
     cases += [random_circuit(rng, width, 2 * width) for _ in range(3)]
     for c in cases:
         cols = _columns(c, 17)
-        assert _spec_text(cols) == format_spec(_table(cols))
+        assert "[" + _spec_text(cols) + "]" == format_spec(_table(cols))
         nested = json.dumps(list(_table(cols)), indent=2).replace("\n", "\n  ")
-        assert _spec_text(cols, ",\n    ") == nested
+        assert "[\n    " + _spec_text(cols, ",\n    ") + "\n  ]" == nested
 
 
 def test_spec_text_peak_memory_at_width_16():
@@ -122,7 +122,7 @@ def test_spec_text_peak_memory_at_width_16():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert text.startswith("[") and text.count(",") == (1 << 16) - 1
+    assert text.count(",") == (1 << 16) - 1
     assert peak < 2 << 20
 
 
