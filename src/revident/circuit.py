@@ -24,16 +24,17 @@ A circuit is a stream of whitespace-separated tokens::
 Cost model
 ----------
 Per gate, only C-level work runs: the scan matches a whole run of gate
-tokens between markers as one match, ``findall`` splits the run into
-``(name, body)`` pairs, and the run's gates are appended by one mapped
-lookup.  The run's new distinct tokens are checked and built together,
-by string, ``map`` and ``bytes.translate`` passes in C.  Only when the
-run fails does ``_check`` return the first problem of its new tokens,
-in order of first appearance; then the run is scanned for that token's
-position.  ``format_circuit`` renders each distinct gate object once,
-found by identity in a dict built in C, so gate equality and hashing
-are never called; the tokens are then mapped per gate.  ``Circuit(...)``
-checks each distinct gate once; the parser, the edit operations and the
+tokens between markers as one match, one ``str.split`` at ``)`` cuts the
+run into pieces, one per gate, and the run's gates are appended by one
+mapped lookup keyed by piece.  The run's new distinct pieces are checked
+and built together, by string, ``map`` and ``bytes.translate`` passes in
+C.  A valid parse makes no second regex pass.  Only when the run fails
+does ``_check`` return the first problem of its new tokens, in order of
+first appearance; then the run is scanned for that token's position.
+``format_circuit`` renders each distinct gate object once, found by
+identity in a dict built in C, so gate equality and hashing are never
+called; the tokens are then mapped per gate.  ``Circuit(...)`` checks
+each distinct gate once; the parser, the edit operations and the
 reducers skip that check, as their gates already fit the width.
 """
 
@@ -165,14 +166,27 @@ _GATE_RE = re.compile(r"([A-Za-z][A-Za-z0-9]*)\s*\(([^()]*)\)")
 _BODIES_RE = re.compile(r"[a-z](?:,[a-z])*(?:\)[a-z](?:,[a-z])*)*")
 
 
-def _build(tokens: list[tuple[str, str]], index: dict[str, int], declared: bool) -> list[Gate] | None:
-    """The gates of distinct gate tokens, made by C-level passes over all
-    of them, numbering new wires in ``index``; None when a token fails a
+def _tokens(pieces: list[str]) -> tuple[list[str], list[str]]:
+    """The names and bodies of gate pieces, by C-level passes over all of
+    them.  A piece is one gate token without its ``)``, after the
+    separators before it: separators, the name, optional whitespace,
+    ``(`` and the body, which holds no parenthesis.  So joined by ``(``
+    and split at each ``(``, the pieces alternate head and body, and the
+    heads split on whitespace and ``;`` give the names.  The regex's
+    whitespace and that of ``str.split()`` and ``str.strip()`` are one
+    set."""
+    parts = "(".join(pieces).split("(")
+    return " ".join(parts[::2]).replace(";", " ").split(), parts[1::2]
+
+
+def _build(pieces: list[str], index: dict[str, int], declared: bool) -> list[Gate] | None:
+    """The gates of distinct gate pieces, made by C-level passes over all
+    of them, numbering new wires in ``index``; None when a piece fails a
     check of ``_check``, and the parse fails.  ``str.split()`` drops the
-    whitespace that ``str.strip()`` does, and no body holds ``)``.  Gates
-    are made as the frozen dataclass ``__init__`` makes them, with the
-    checks of ``Gate.__post_init__`` done here."""
-    names, bodies = zip(*tokens)
+    whitespace that ``str.strip()`` does.  Gates are made as the frozen
+    dataclass ``__init__`` makes them, with the checks of
+    ``Gate.__post_init__`` done here."""
+    names, bodies = _tokens(pieces)
     joined = "".join(")".join(bodies).split()).replace(";", ",")
     if not _BODIES_RE.fullmatch(joined) or not _ARITY.keys() >= set(names):
         return None
@@ -191,6 +205,9 @@ def _build(tokens: list[tuple[str, str]], index: dict[str, int], declared: bool)
             or [*map(len, controls)] != [*map(len, fronts)]
             or any(map(frozenset.__contains__, controls, targets))):
         return None
+    # Not through ``vars(g)``: that gives each gate a dict of its own in
+    # place of the shared-key attribute storage, and every later read of
+    # ``g.controls`` and ``g.target`` in the scans gets slower.
     gates = [*map(object.__new__, repeat(Gate, len(wires)))]
     deque(map(object.__setattr__, gates, repeat("controls"), controls), 0)
     deque(map(object.__setattr__, gates, repeat("target"), targets), 0)
@@ -226,36 +243,42 @@ def parse_circuit(text: str) -> Circuit:
     characters of the text with its comments removed.
 
     One regex scan splits the text into headers, markers and runs of
-    gates; ``findall`` splits each run into its gate tokens.  The run's
-    new distinct tokens are checked and built together by ``_build``.
-    A token's checks depend only on the token and the header, which
-    precedes every gate, and wire numbers only grow.  So when the run
-    fails, ``_check`` returns the first problem of its new tokens in
-    order of first appearance, which is also the first in the text; only
-    then is the run scanned again for that token's position.
+    gates.  That scan has checked each run's shape, so splitting the run
+    at each ``)`` cuts it into pieces, one per gate: the separators
+    before the gate, its name, ``(`` and its body.  Equal pieces are
+    equal gates, so the pieces key the memo of built gates, and the
+    run's new distinct pieces are checked and built together by
+    ``_build``.  A token's checks depend only on the token and the
+    header, which precedes every gate, and wire numbers only grow.  So
+    when the run fails, ``_check`` returns the first problem of its new
+    tokens in order of first appearance, which is also the first in the
+    text; only then is the run scanned again for that token's position.
     """
     if "//" in text:
         text = re.sub(r"//[^\n]*", "", text)
     index: dict[str, int] = {}
     declared = False
     gates: list[Gate] = []
-    built: dict[tuple[str, str], Gate] = {}
+    built: dict[str, Gate] = {}
     insertion: int | None = None
     bracket_start: int | None = None
     bracket_end: int | None = None
 
     for m in _TOKEN_RE.finditer(text):
         if m.lastindex == 3:
-            tokens = _GATE_RE.findall(m.group(3))
-            new = [*filterfalse(built.__contains__, dict.fromkeys(tokens))]
+            # The leading " " keys a run's first piece like its repeats.
+            pieces = (" " + m.group(3)).split(")")
+            del pieces[-1]  # the separators after the run's last gate
+            new = [*filterfalse(built.__contains__, dict.fromkeys(pieces))]
             made = _build(new, index, declared) if new else []
             if made is None:
-                token, (head, tail) = next((t, p) for t in new if (p := _check(*t, index, declared)))
+                token, (head, tail) = next((t, p) for t in zip(*_tokens(new))
+                                           if (p := _check(*t, index, declared)))
                 pos = next(t.start() for t in _GATE_RE.finditer(text, *m.span(3))
                            if t.group(1, 2) == token)
                 raise ParseError(f"{head}{pos}{tail}")
             built.update(zip(new, made))
-            gates += map(built.__getitem__, tokens)
+            gates += map(built.__getitem__, pieces)
         elif m.lastindex == 1:
             pos = m.start(1)
             if declared:

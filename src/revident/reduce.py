@@ -82,16 +82,17 @@ class Removal:
 
 
 class _FinalColumns(list):
-    """The columns a reduction ends with, as a report field holds them
-    until its first read.  A caller's plain list is a specification."""
+    """The columns a reduction ends with, as a report field holds them.
+    The first read of a field caches their table in ``table``.  A
+    caller's plain list is a specification."""
 
-    __slots__ = ()
+    __slots__ = ("table",)
 
 
 class _SpecField:
     """A report field holding a specification or None, or
-    ``_FinalColumns``.  The first read builds their table and stores it
-    in every field that held the same columns."""
+    ``_FinalColumns``, which it reads as their table, built on the first
+    read.  Fields that hold the same columns read the same table."""
 
     def __set_name__(self, owner: type, name: str) -> None:
         self._name = name
@@ -99,13 +100,12 @@ class _SpecField:
     def __get__(self, report: "ReductionReport | None", owner: type = None):
         if report is None:  # class access: tells ``dataclass`` there is no default
             raise AttributeError(self._name)
-        stored = vars(report)
-        value = stored[self._name]
-        if type(value) is _FinalColumns:
-            table = _table(value)
-            stored.update({name: table for name, held in stored.items() if held is value})
-            return table
-        return value
+        value = vars(report)[self._name]
+        if type(value) is not _FinalColumns:
+            return value
+        if not hasattr(value, "table"):
+            value.table = _table(value)
+        return value.table
 
     def __set__(self, report: "ReductionReport", value) -> None:
         vars(report)[self._name] = value

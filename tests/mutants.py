@@ -30,6 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 _JSON_ENCODER = "tests/test_reduce.py::TestJsonWriter::test_matches_encoder"
 _INDEX = "tests/test_reduce.py::TestFingerprintIndex::"
+_PARSE = "tests/test_circuit.py::TestParse::"
 
 # (what the mutant breaks, [(file in src/revident, old, new), ...], [test node ids])
 MUTANTS = [
@@ -62,6 +63,30 @@ MUTANTS = [
      [("semantics.py", "h = _column_hash(col)\n",
        "h = _column_hash(col) + 0 * _column_hash(col)\n")],
      [_INDEX + "test_work_is_linear_in_gates"]),
+    ("_spans_identity: the last column never compared",
+     [("semantics.py", "return tuple(_run(cols, gates)) == _start(len(cols)).identity",
+       "return tuple(_run(cols, gates))[:-1] == _start(len(cols)).identity[:-1]")],
+     ["tests/test_semantics.py::test_no_single_gate_is_the_identity"]),
+    ("parse_circuit: the \" \" before a run dropped, so its first token is built twice",
+     [("circuit.py", 'pieces = (" " + m.group(3)).split(")")', 'pieces = m.group(3).split(")")')],
+     [_PARSE + "test_repeated_token_reuses_its_gate"]),
+    ("parse_circuit: the piece after the run's last gate kept",
+     [("circuit.py", "del pieces[-1]", "pass")],
+     [_PARSE + "test_matches_reference_parser"]),
+    ("parse_circuit: the error path takes the last flagged token",
+     [("circuit.py", "for t in zip(*_tokens(new))", "for t in [*zip(*_tokens(new))][::-1]")],
+     [_PARSE + "test_matches_reference_parser"]),
+    ("_tokens: the \";\" left in the heads",
+     [("circuit.py", 'return " ".join(parts[::2]).replace(";", " ").split(), parts[1::2]',
+       'return " ".join(parts[::2]).split(), parts[1::2]')],
+     [_PARSE + "test_matches_reference_parser"]),
+    ("_tokens: the pieces transposed by zip over a map, so tuples pile up in the free list",
+     [("circuit.py",
+       'parts = "(".join(pieces).split("(")\n'
+       '    return " ".join(parts[::2]).replace(";", " ").split(), parts[1::2]',
+       'heads, _, bodies = zip(*map(str.partition, pieces, repeat("(")))\n'
+       '    return " ".join(heads).replace(";", " ").split(), bodies')],
+     [_PARSE + "test_small_parses_hold_no_memory"]),
     ("surviving_indices: the replay off by one",
      [("bench.py", "del idx[r.start_gap : r.end_index]",
        "del idx[r.start_gap + 1 : r.end_index + 1]")],

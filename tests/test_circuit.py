@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from revident import circuit
 from revident import (
     Circuit,
     Gate,
@@ -225,12 +228,64 @@ class TestParse:
     @example("NOT(a) CNOT(b, b) NOT(a) CNOT(b, b) FOO(c)")
     # a token built in an earlier run comes before the bad one
     @example("wires: a b\nNOT(a) # NOT(a) TOF(a, b, c) TOF(a, b, c)")
+    # one token repeated after a space, a newline, a tab, ";" and CRLF
+    @example("NOT(a) CNOT(a, b) CNOT(a, b)\nCNOT(a, b)\tCNOT(a, b);CNOT(a, b)\r\nNOT(a)")
+    # whitespace before "(", and separators that only str.isspace() knows
+    @example("NOT (a) CNOT\t(b, a) NOT(a)")
+    @example("NOT(a)\u2003CNOT(a, b)\u00a0NOT(a)\x1cNOT\u3000(a)")
+    # an MCT token, with its own ";", between ";" separators
+    @example("NOT(a);MCT(a, b; c);TOF(a, c, b);;")
+    # a run whose trailing separators meet a marker
+    @example("NOT(a) CNOT(a, b) ;\n\t# NOT(b);\n[ NOT(a) ;]")
     @settings(max_examples=600)
     def test_matches_reference_parser(self, text):
         outcome = _parse_outcome(parse_circuit, text)
         assert outcome == _parse_outcome(parse_reference, text)
         if not isinstance(outcome, str):
             assert format_circuit(outcome[0]) == format_reference(outcome[0])
+
+    def test_valid_parse_makes_no_second_regex_pass(self, monkeypatch):
+        class Untouchable:
+            def __getattr__(self, name):
+                raise AssertionError(f"_GATE_RE.{name} used")
+
+        monkeypatch.setattr(circuit, "_GATE_RE", Untouchable())
+        text = "wires: a b c\nNOT(a) CNOT (a, b);\tTOF(a, b, c)\r\n# MCT(a, b; c) [ NOT(a) ]"
+        assert _parse_outcome(parse_circuit, text) == _parse_outcome(parse_reference, text)
+        # only a failing run is scanned again, for its bad token's position
+        with pytest.raises(AssertionError, match="_GATE_RE"):
+            parse_circuit("NOT(a) CNOT(a, a)")
+
+    def test_failing_run_checks_each_new_token_once(self, monkeypatch):
+        check, checked = circuit._check, []
+
+        def counting(name, body, index, declared):
+            checked.append((name, body))
+            return check(name, body, index, declared)
+
+        monkeypatch.setattr(circuit, "_check", counting)
+        text = "NOT(a) # NOT(b) CNOT(a, b) NOT(a) NOT(b) CNOT(a, b) CNOT(b, b) NOT(c) CNOT(b, b)"
+        with pytest.raises(ParseError, match="^repeated wire in gate at position 52$"):
+            parse_circuit(text)
+        # NOT(a) was built in the first run; the first bad token ends the checks
+        assert checked == [("NOT", "b"), ("CNOT", "a, b"), ("CNOT", "b, b")]
+
+    def test_small_parses_hold_no_memory(self):
+        # runs of 1 to 19 new gates: the parser leaves nothing behind, also
+        # not in the tuple free list, which keeps up to 2,000 tuples of each
+        # size below 20 (a tuple built by resizing is freed into it)
+        letters = "abcdefghijklmnopqrst"
+        texts = [" ".join(f"CNOT({a}, {b})" for a, b in zip(letters[:k], letters[1:]))
+                 for k in range(1, 20)]
+        tracemalloc.start()
+        try:
+            for _ in range(200):
+                for text in texts:
+                    parse_circuit(text)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 100_000
 
     def test_repeated_token_reuses_its_gate(self):
         c = parse_circuit("NOT(a) CNOT(a, b) " * 5000)

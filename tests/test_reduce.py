@@ -434,8 +434,12 @@ class TestReport:
             report.input_spec
         assert _report_json(report) == json.dumps(report.to_dict(), indent=2)
 
-    @pytest.mark.parametrize("reduce", [eliminate_ntris, remove_trivial_identities])
-    def test_shared_specification_is_written_once(self, reduce, monkeypatch):
+    # fresh, and after a read of input_spec, which tabulates the shared
+    # columns once and keeps them for the writer
+    @pytest.mark.parametrize("reduce, read", [
+        pytest.param(reduce, read, id=reduce.__name__ + "-read" * read)
+        for reduce in (eliminate_ntris, remove_trivial_identities) for read in (False, True)])
+    def test_shared_specification_is_written_once(self, reduce, read, monkeypatch):
         texts, tables = [], []
 
         def counting_text(cols, sep=","):
@@ -449,8 +453,10 @@ class TestReport:
         monkeypatch.setattr("revident.reduce._spec_text", counting_text)
         monkeypatch.setattr("revident.reduce._table", counting_table)
         _, report = reduce(parse_circuit(GOLDEN))
+        if read:
+            assert report.output_spec is report.input_spec
         text = _report_json(report)
-        assert texts == [",\n    "] and tables == []
+        assert texts == [",\n    "] and tables == [3] * read
         assert text == json.dumps(report.to_dict(), indent=2)
 
     def test_removal_validation(self):
