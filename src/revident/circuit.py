@@ -24,13 +24,14 @@ A circuit is a stream of whitespace-separated tokens::
 Cost model
 ----------
 Per gate, only C-level work runs: the scan matches a whole run of gate
-tokens between markers as one match, one ``str.split`` at ``)`` cuts the
-run into pieces, one per gate, and the run's gates are appended by one
-mapped lookup keyed by piece.  The run's new distinct pieces are checked
-and built together, by string, ``map`` and ``bytes.translate`` passes in
-C.  A valid parse makes no second regex pass.  Only when the run fails
-does ``_check`` return the first problem of its new tokens, in order of
-first appearance; then the run is scanned for that token's position.
+tokens between markers as one match; ``str.translate`` deletes its
+whitespace and reads ``;`` as ``,``, and ``str.split`` at ``)`` with a
+mapped ``str.lstrip`` of ``,`` cuts it into pieces, each one gate's own
+text.  The gates are appended by one mapped lookup keyed by piece, so
+each distinct gate is one object.  The run's new distinct pieces are
+checked and built together, by string, ``map`` and ``bytes.translate``
+passes in C.  A valid parse makes no second regex pass.  Only when the
+run fails is it scanned again, for the first problem of its tokens.
 ``format_circuit`` renders each distinct gate object once, found by
 identity in a dict built in C, so gate equality and hashing are never
 called; the tokens are then mapped per gate.  ``Circuit(...)`` checks
@@ -162,32 +163,26 @@ _TOKEN_RE = re.compile(
     r"|((?:[A-Za-z][A-Za-z0-9]*\s*\([^()]*\)[\s;]*)+)|([^\s;]))"
 )
 _GATE_RE = re.compile(r"([A-Za-z][A-Za-z0-9]*)\s*\(([^()]*)\)")
-# Gate bodies without whitespace, ``;`` read as ``,``, joined by ``)``.
+# Deletes the characters that ``str.isspace()`` and the regex ``\s`` know (one
+# set) and reads ``;`` as ``,``, leaving of a gate token the gate's own text.
+_SQUASH = str.maketrans(";", ",", "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001"
+                        "\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029"
+                        "\u202f\u205f\u3000")
+# Gate bodies so squashed, joined by ``)``.
 _BODIES_RE = re.compile(r"[a-z](?:,[a-z])*(?:\)[a-z](?:,[a-z])*)*")
-
-
-def _tokens(pieces: list[str]) -> tuple[list[str], list[str]]:
-    """The names and bodies of gate pieces, by C-level passes over all of
-    them.  A piece is one gate token without its ``)``, after the
-    separators before it: separators, the name, optional whitespace,
-    ``(`` and the body, which holds no parenthesis.  So joined by ``(``
-    and split at each ``(``, the pieces alternate head and body, and the
-    heads split on whitespace and ``;`` give the names.  The regex's
-    whitespace and that of ``str.split()`` and ``str.strip()`` are one
-    set."""
-    parts = "(".join(pieces).split("(")
-    return " ".join(parts[::2]).replace(";", " ").split(), parts[1::2]
 
 
 def _build(pieces: list[str], index: dict[str, int], declared: bool) -> list[Gate] | None:
     """The gates of distinct gate pieces, made by C-level passes over all
     of them, numbering new wires in ``index``; None when a piece fails a
-    check of ``_check``, and the parse fails.  ``str.split()`` drops the
-    whitespace that ``str.strip()`` does.  Gates are made as the frozen
-    dataclass ``__init__`` makes them, with the checks of
-    ``Gate.__post_init__`` done here."""
-    names, bodies = _tokens(pieces)
-    joined = "".join(")".join(bodies).split()).replace(";", ",")
+    check of ``_check``, and the parse fails.  A piece is a squashed gate
+    token without its ``)``: its name, ``(`` and its body, which holds no
+    parenthesis, so joined by ``(`` and split at each ``(`` the pieces
+    alternate name and body.  Gates are made as the frozen dataclass
+    ``__init__`` makes them, with the checks of ``Gate.__post_init__``
+    done here."""
+    parts = "(".join(pieces).split("(")
+    names, joined = parts[::2], ")".join(parts[1::2])
     if not _BODIES_RE.fullmatch(joined) or not _ARITY.keys() >= set(names):
         return None
     letters = joined.replace(",", "")
@@ -243,16 +238,17 @@ def parse_circuit(text: str) -> Circuit:
     characters of the text with its comments removed.
 
     One regex scan splits the text into headers, markers and runs of
-    gates.  That scan has checked each run's shape, so splitting the run
-    at each ``)`` cuts it into pieces, one per gate: the separators
-    before the gate, its name, ``(`` and its body.  Equal pieces are
-    equal gates, so the pieces key the memo of built gates, and the
-    run's new distinct pieces are checked and built together by
-    ``_build``.  A token's checks depend only on the token and the
-    header, which precedes every gate, and wire numbers only grow.  So
-    when the run fails, ``_check`` returns the first problem of its new
-    tokens in order of first appearance, which is also the first in the
-    text; only then is the run scanned again for that token's position.
+    gates.  That scan has checked each run's shape, so once ``_SQUASH``
+    has deleted its whitespace and read ``;`` as ``,``, splitting the run
+    at each ``)`` and dropping leading commas cuts it into pieces, one per
+    gate: its name, ``(`` and its body.  Equal pieces are equal gates,
+    whatever separates them, so the pieces key the memo of built gates,
+    and the run's new distinct pieces are checked and built together by
+    ``_build``.  Whether a token passes ``_check`` depends only on its
+    piece and the header, which precedes every gate.  So when the run
+    fails, one scan of its text checks each token whose piece is neither
+    built nor checked yet, and raises at the first problem, quoting the
+    token as written.
     """
     if "//" in text:
         text = re.sub(r"//[^\n]*", "", text)
@@ -266,17 +262,18 @@ def parse_circuit(text: str) -> Circuit:
 
     for m in _TOKEN_RE.finditer(text):
         if m.lastindex == 3:
-            # The leading " " keys a run's first piece like its repeats.
-            pieces = (" " + m.group(3)).split(")")
+            # A ";" before a gate leaves a "," in front of its piece.
+            pieces = [*map(str.lstrip, m.group(3).translate(_SQUASH).split(")"), repeat(","))]
             del pieces[-1]  # the separators after the run's last gate
             new = [*filterfalse(built.__contains__, dict.fromkeys(pieces))]
             made = _build(new, index, declared) if new else []
             if made is None:
-                token, (head, tail) = next((t, p) for t in zip(*_tokens(new))
-                                           if (p := _check(*t, index, declared)))
-                pos = next(t.start() for t in _GATE_RE.finditer(text, *m.span(3))
-                           if t.group(1, 2) == token)
-                raise ParseError(f"{head}{pos}{tail}")
+                checked = set(built)
+                for t in _GATE_RE.finditer(text, *m.span(3)):
+                    if (key := t[0][:-1].translate(_SQUASH)) not in checked:
+                        checked.add(key)
+                        if problem := _check(*t.group(1, 2), index, declared):
+                            raise ParseError(f"{problem[0]}{t.start()}{problem[1]}")
             built.update(zip(new, made))
             gates += map(built.__getitem__, pieces)
         elif m.lastindex == 1:

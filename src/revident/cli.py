@@ -12,7 +12,6 @@ import argparse
 import functools
 import os
 import sys
-from pathlib import Path
 
 from .circuit import ParseError, _wire_names, concat, format_circuit, insert_segment, parse_circuit
 from .cost import CostTableError, DEFAULT_COST_TABLE, circuit_cost, gate_count, load_cost_table
@@ -27,7 +26,8 @@ class CliError(Exception):
 
 def _read_circuit(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except (OSError, UnicodeDecodeError) as e:
         raise CliError(f"cannot read {path}: {e}") from e
     try:
@@ -66,8 +66,10 @@ def _cmd_reduce(args) -> int:
     else:
         reduced, report = eliminate_ntris(c, table)
     if args.report:
+        text = _report_json(report) + "\n"
         try:
-            Path(args.report).write_text(_report_json(report) + "\n", encoding="utf-8")
+            with open(args.report, "w", encoding="utf-8") as f:
+                f.write(text)
         except OSError as e:
             raise CliError(f"cannot write {args.report}: {e}") from e
     print(format_circuit(reduced))

@@ -67,25 +67,30 @@ MUTANTS = [
      [("semantics.py", "return tuple(_run(cols, gates)) == _start(len(cols)).identity",
        "return tuple(_run(cols, gates))[:-1] == _start(len(cols)).identity[:-1]")],
      ["tests/test_semantics.py::test_no_single_gate_is_the_identity"]),
-    ("parse_circuit: the \" \" before a run dropped, so its first token is built twice",
-     [("circuit.py", 'pieces = (" " + m.group(3)).split(")")', 'pieces = m.group(3).split(")")')],
-     [_PARSE + "test_repeated_token_reuses_its_gate"]),
+    ("parse_circuit: the commas that \";\" separators leave kept in front of a piece",
+     [("circuit.py", 'repeat(","))]', 'repeat(""))]')],
+     [_PARSE + "test_equal_gates_are_one_object_whatever_separates_them"]),
     ("parse_circuit: the piece after the run's last gate kept",
      [("circuit.py", "del pieces[-1]", "pass")],
      [_PARSE + "test_matches_reference_parser"]),
-    ("parse_circuit: the error path takes the last flagged token",
-     [("circuit.py", "for t in zip(*_tokens(new))", "for t in [*zip(*_tokens(new))][::-1]")],
+    ("parse_circuit: the error path checks tokens built in earlier runs again",
+     [("circuit.py", "checked = set(built)", "checked = set()")],
+     [_PARSE + "test_failing_run_checks_each_new_token_once"]),
+    ("parse_circuit: the error path keys a token by its raw text",
+     [("circuit.py", "(key := t[0][:-1].translate(_SQUASH))", "(key := t[0][:-1])")],
+     [_PARSE + "test_failing_run_skips_gates_built_after_other_separators"]),
+    ("_SQUASH: the \";\" left as it is",
+     [("circuit.py", 'str.maketrans(";", ",", ', 'str.maketrans("", "", ')],
      [_PARSE + "test_matches_reference_parser"]),
-    ("_tokens: the \";\" left in the heads",
-     [("circuit.py", 'return " ".join(parts[::2]).replace(";", " ").split(), parts[1::2]',
-       'return " ".join(parts[::2]).split(), parts[1::2]')],
-     [_PARSE + "test_matches_reference_parser"]),
-    ("_tokens: the pieces transposed by zip over a map, so tuples pile up in the free list",
+    ("_SQUASH: U+3000 left in the gate text",
+     [("circuit.py", r'"\u202f\u205f\u3000")', r'"\u202f\u205f")')],
+     [_PARSE + "test_squash_deletes_exactly_the_regex_whitespace"]),
+    ("_build: the pieces transposed by zip over a map, so tuples pile up in the free list",
      [("circuit.py",
        'parts = "(".join(pieces).split("(")\n'
-       '    return " ".join(parts[::2]).replace(";", " ").split(), parts[1::2]',
-       'heads, _, bodies = zip(*map(str.partition, pieces, repeat("(")))\n'
-       '    return " ".join(heads).replace(";", " ").split(), bodies')],
+       '    names, joined = parts[::2], ")".join(parts[1::2])',
+       'names, _, bodies = zip(*map(str.partition, pieces, repeat("(")))\n'
+       '    joined = ")".join(bodies)')],
      [_PARSE + "test_small_parses_hold_no_memory"]),
     ("surviving_indices: the replay off by one",
      [("bench.py", "del idx[r.start_gap : r.end_index]",

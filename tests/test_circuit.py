@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 
 import pytest
@@ -237,6 +238,12 @@ class TestParse:
     @example("NOT(a);MCT(a, b; c);TOF(a, c, b);;")
     # a run whose trailing separators meet a marker
     @example("NOT(a) CNOT(a, b) ;\n\t# NOT(b);\n[ NOT(a) ;]")
+    # equal gates after different separators and with whitespace in the body
+    @example("CNOT(a, b)\tCNOT( a ,b );CNOT(a;b)\r\nCNOT (a,\u2003b);;CNOT(a,b) NOT(a)")
+    @example("CNOT( a ,b ) # CNOT(a,b);CNOT(a, b)\u3000TOF(a, b, a) CNOT(a,  b)")
+    # a bad token whose squashed text repeats, quoted as first written
+    @example("NOT(a) CNOT(a b, c) CNOT(ab, c)")
+    @example("NOT(a) CNOT(ab, c);CNOT(a\tb, c)")
     @settings(max_examples=600)
     def test_matches_reference_parser(self, text):
         outcome = _parse_outcome(parse_circuit, text)
@@ -269,6 +276,35 @@ class TestParse:
             parse_circuit(text)
         # NOT(a) was built in the first run; the first bad token ends the checks
         assert checked == [("NOT", "b"), ("CNOT", "a, b"), ("CNOT", "b, b")]
+
+    def test_failing_run_skips_gates_built_after_other_separators(self, monkeypatch):
+        check, checked = circuit._check, []
+
+        def counting(name, body, index, declared):
+            checked.append((name, body))
+            return check(name, body, index, declared)
+
+        monkeypatch.setattr(circuit, "_check", counting)
+        text = "CNOT(a, b) # CNOT( a,b );NOT(a) CNOT (a,\tb)\r\nNOT( a ) CNOT(b; b)"
+        with pytest.raises(ParseError, match="^repeated wire in gate at position 54$"):
+            parse_circuit(text)
+        assert checked == [("NOT", "a"), ("CNOT", "b; b")]
+
+    def test_squash_deletes_exactly_the_regex_whitespace(self):
+        # a separator that _TOKEN_RE accepts but the table kept would reach
+        # _build inside a piece and fail a valid run that _check passes
+        every = "".join(map(chr, range(0x110000)))
+        space = re.findall(r"\s", every)
+        assert space == [ch for ch in every if ch.isspace()]
+        assert circuit._SQUASH == {**dict.fromkeys(map(ord, space)), ord(";"): ord(",")}
+
+    def test_equal_gates_are_one_object_whatever_separates_them(self):
+        text = ("wires: a b c\r\nCNOT(a, b)\tCNOT( a ,b );CNOT(a;b)\r\nCNOT (a,\u2003b) // x\n"
+                ";;CNOT(a,b) # TOF(a, b, c)\x1cTOF(a,b,c) [ CNOT(a, b) ]TOF (a ,b ,c);")
+        outcome = _parse_outcome(parse_circuit, text)
+        assert outcome == _parse_outcome(parse_reference, text)
+        gates = outcome[0].gates
+        assert len(gates) == 9 and len({id(g) for g in gates}) == len(set(gates)) == 2
 
     def test_small_parses_hold_no_memory(self):
         # runs of 1 to 19 new gates: the parser leaves nothing behind, also

@@ -545,7 +545,7 @@ def test_cli_import_loads_no_bench_json_or_resources():
     # a one-shot command pays for what importing the CLI loads; without
     # site, nothing else in the process has loaded these modules either
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import revident.cli; "
-            "print([m for m in ('revident.bench', 'json', 'importlib.resources', 'typing') if m in sys.modules])")
+            "print([m for m in ('revident.bench', 'json', 'importlib.resources', 'typing', 'pathlib') if m in sys.modules])")
     src = str(Path(revident.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-S", "-c", code, src],
                          capture_output=True, text=True, timeout=60, check=True).stdout
