@@ -14,20 +14,25 @@ by ``_table`` only where a specification leaves the module as a value.
 Where it leaves as text, for ``simulate`` or ``reduce --report``,
 ``_spec_text`` writes its entries from the columns, for the caller to
 bracket: digits are computed bit-sliced and the text assembled in bulk
-byte operations, with no tuple and no ``str`` per entry.  Both boundaries
-turn columns into byte planes with ``_spread``; ``_slice`` is
-``_table``'s inverse.  Widths above ``DEFAULT_WIDTH_CAP`` are rejected
-unless the caller raises ``max_width``, before anything is built.  Only
+byte operations, with no tuple and no ``str`` per entry.  Both
+boundaries turn each eight columns into one byte plane with one 8x8 bit
+transpose, ``_transpose``: the columns' bytes are interleaved into
+64-bit lanes and three delta-swaps run on the whole int.  The transpose
+is its own inverse, so ``_slice``, ``_table``'s inverse, takes its
+columns from the entry planes with it too.  Widths above
+``DEFAULT_WIDTH_CAP`` are rejected unless the caller raises
+``max_width``, before anything is built.  Only
 ``generate.synthesize_inverse`` has no cap: its caller has already built
 the ``2**n``-entry table.
 
 No specification is kept between calls.  What depends only on the width
 is built by ``_start`` on first use and kept for the process, one
 ``_Start`` per width used: the identity's columns as a tuple, their
-column hashes and fingerprint, the mask of all inputs and the byte plane
-of ones.  At width 16 that is about 220 KB.  ``_identity_columns`` hands
-out a fresh list copy of the identity, so a walk never alters the kept
-one.
+column hashes and fingerprint and the mask of all inputs, about 150 KB
+at width 16.  The transpose's three masks, 192 KB at width 16, are
+added when the first table or text at that width is built, so a walk
+that builds neither never holds them.  ``_identity_columns`` hands out a
+fresh list copy of the identity, so a walk never alters the kept one.
 
 The one prefix scan is ``_cuts``, a single loop: each gate is applied
 to the live columns in place, its target column is rehashed, the
@@ -116,10 +121,11 @@ class _Start:
     """What every walk over ``width`` wires starts from, built by
     ``_start`` once per width and process: the identity's columns (built
     one wire wider per step), the mask ``everywhere`` of all ``2**width``
-    inputs, the byte plane ``ones`` of ``_spread``, and the identity's
-    column hashes and fingerprint.  At width 16 that is about 220 KB."""
+    inputs, and the identity's column hashes and fingerprint.  At width
+    16 that is about 150 KB.  The three ``masks`` of ``_transpose``,
+    another 192 KB at width 16, are built with the first byte plane."""
 
-    __slots__ = ("identity", "everywhere", "ones", "_hashed")
+    __slots__ = ("identity", "everywhere", "_masks", "_hashed")
 
     def __init__(self, width: int) -> None:
         cols: _Columns = []
@@ -130,8 +136,18 @@ class _Start:
         self.identity = tuple(cols)
         size = 1 << width
         self.everywhere = (1 << size) - 1
-        self.ones = int.from_bytes(b"\1" * size, "big")
+        self._masks = ()
         self._hashed = None, (), 0
+
+    def masks(self) -> tuple[int, ...]:
+        """The masks of ``_transpose``'s three delta-swaps, each a 64-bit
+        pattern repeated once per lane of a byte plane, so ``2**width``
+        bytes each (at least one lane), built on first use."""
+        if not self._masks:
+            lanes = -(-self.everywhere.bit_length() // 8)
+            self._masks = tuple(int.from_bytes(m.to_bytes(8, "little") * lanes, "little")
+                                for m in (0x00AA00AA00AA00AA, 0x0000CCCC0000CCCC, 0x00000000F0F0F0F0))
+        return self._masks
 
     def fingerprint(self) -> tuple[tuple[int, ...], int]:
         """The identity's column hashes and fingerprint, kept together
@@ -176,60 +192,78 @@ def _spans_identity(cols: _Columns, gates: Iterable[Gate]) -> bool:
     return tuple(_run(cols, gates)) == _start(len(cols)).identity
 
 
-def _spread(cols: _Columns, size: int, ones: int) -> int:
-    """Up to eight columns as one byte plane: bit ``b`` of byte ``x``
-    (little-endian) is bit ``x`` of ``cols[b]``.  ``ones`` has every byte
-    of ``size`` bytes set to 1 (``_Start.ones``).  All-zero columns are
-    skipped."""
-    plane = 0
-    binary = f"0{size}b"  # one b"0"/b"1" per byte, input size-1 first
+def _transpose(x: int, masks: tuple[int, ...]) -> int:
+    """The 8x8 bit transpose of every 64-bit lane of ``x``, whose byte
+    ``r`` is row ``r``: bit ``8r + c`` of a lane trades places with bit
+    ``8c + r`` (Warren, *Hacker's Delight*, section 7-3).  Three
+    delta-swaps on the whole int, 7, 14 and 28 bits apart, move the bits
+    that ``masks`` (``_Start.masks``) select.  It is its own inverse."""
+    for shift, mask in zip((7, 14, 28), masks):
+        t = (x ^ x >> shift) & mask
+        x ^= t ^ t << shift
+    return x
+
+
+def _plane(cols: _Columns, size: int, masks: tuple[int, ...]) -> bytes:
+    """Up to eight columns as one byte plane of ``size`` bytes: bit ``b``
+    of byte ``x`` is bit ``x`` of ``cols[b]``.  The columns' bytes are
+    interleaved so that lane ``k`` holds byte ``k`` of each, and the
+    lane's transpose is bytes ``8k..8k+7`` of the plane.  All-zero
+    columns are skipped."""
+    step = -(-size // 8)  # bytes per column, at least one
+    lanes = bytearray(8 * step)
     for b, col in enumerate(cols):
         if col:
-            plane |= (int.from_bytes(format(col, binary).encode(), "big") & ones) << b
-    return plane
+            lanes[b::8] = col.to_bytes(step, "little")
+    return _transpose(int.from_bytes(lanes, "little"), masks).to_bytes(size, "little")
 
 
 def _table(cols: _Columns) -> Specification:
     """The tuple form of bit-sliced columns: byte ``x`` of a plane holds
-    input ``x``'s bits of eight columns, read back as 32-bit entries."""
+    input ``x``'s bits of eight columns, one ``_transpose`` per plane,
+    read back as 32-bit entries."""
     size = 1 << len(cols)
-    ones = _start(len(cols)).ones
+    masks = _start(len(cols)).masks()
     entries = bytearray(4 * size)
     for p in range(0, len(cols), 8):
-        entries[p // 8::4] = _spread(cols[p:p + 8], size, ones).to_bytes(size, "little")
+        entries[p // 8::4] = _plane(cols[p:p + 8], size, masks)
     return struct.unpack(f"<{size}I", entries)
 
 
-# _BIT_CHARS[b] maps a byte to b"1" when its bit b is set, else to b"0".
-_BIT_CHARS = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
-
-
 def _slice(spec: Specification) -> _Columns:
-    """``_table``'s inverse: the columns of a specification.  Byte ``x``
-    of an entry plane holds bits ``8p..8p+7`` of ``spec[x]``; one
-    translation per column turns a bit of each byte into the column's
-    binary digits, input 0 last."""
+    """``_table``'s inverse: the columns of a specification, from its
+    entry planes, since the lane transpose is its own inverse."""
     size = len(spec)
+    width = size.bit_length() - 1
     entries = struct.pack(f"<{size}I", *spec)
-    return [int(entries[k // 8::4].translate(_BIT_CHARS[k % 8])[::-1], 2)
-            for k in range(size.bit_length() - 1)]
+    cols: _Columns = []
+    for p in range(0, width, 8):
+        plane = _transpose(int.from_bytes(entries[p // 8::4], "little"), _start(width).masks())
+        lanes = plane.to_bytes(size, "little")  # byte 8k + b is byte k of column p + b
+        cols += [int.from_bytes(lanes[b::8], "little") for b in range(8)]
+    return cols[:width]
 
 
-# Byte values of the text planes: the units plane holds digits 0-9, and
-# every other plane holds 0x10 plus the digit, or 0x1a for a zero below a
-# nonzero digit.  A 0x10 byte, a leading zero, is deleted; brackets and
-# commas pass through.
-_DIGIT_CHARS = bytes.maketrans(bytes([*range(0x00, 0x0a), *range(0x11, 0x1b)]),
-                               b"0123456789" b"1234567890")
+# Text bytes of a digit by the value of its nibble in a plane: 10 marks a
+# zero below a nonzero digit and prints "0", and 0 is a leading zero, the
+# byte 0x10, which the text deletes, except in the units digit, which
+# always prints.  Nibbles 11-15 do not occur.
+_DIGIT = b"\x101234567890" + bytes(5)
+_LOW_DIGITS = bytes(_DIGIT[v & 15] for v in range(256))
+_HIGH_DIGITS = bytes(_DIGIT[v >> 4] for v in range(256))
+_UNITS_DIGITS = _LOW_DIGITS.replace(b"\x10", b"0")
 
 
 def _spec_text(cols: _Columns, sep: str = ",") -> str:
     """``format_spec(_table(cols))`` made on the columns, without its
     brackets: the entries joined by ``sep``; callers add the brackets.
     A bit-sliced double dabble (shift and add 3) turns the ``n`` columns
-    into four columns per decimal digit, and each digit becomes one byte
-    plane of the text, which holds ``digits + len(sep)`` bytes per input
-    with ``sep`` last.  Leading zeros are deleted in one pass."""
+    into four columns per decimal digit, and ``_transpose`` turns each
+    eight of those into one byte plane of two digits, the lower digit in
+    the low nibble.  A 256-entry translate table per nibble turns a plane
+    into one digit's text bytes, which go into the text, ``digits +
+    len(sep)`` bytes per input with ``sep`` last, in one strided write.
+    Leading zeros are deleted in one pass."""
     size = 1 << len(cols)
     digits = len(str(size - 1))
     # Four columns per digit, units first.  The top three bits make a
@@ -247,22 +281,25 @@ def _spec_text(cols: _Columns, sep: str = ",") -> str:
                 bcd[j:j + 4] = d0 ^ add, d1 ^ add ^ c0, d2 ^ c1, d3 ^ c2
         bcd.insert(0, col)  # shift left by one bit, bringing in col
         bcd.pop()
-    ones = _start(len(cols)).ones
+    # Mark the zeros to print, those below a nonzero digit, as 10.
+    above = 0  # inputs with a nonzero digit above digit j
+    for j in reversed(range(1, digits)):
+        d0, d1, d2, d3 = bcd[4 * j:4 * j + 4]
+        nonzero = d0 | d1 | d2 | d3
+        inner = above & ~nonzero
+        above |= nonzero
+        bcd[4 * j + 1] = d1 | inner
+        bcd[4 * j + 3] = d3 | inner
+    masks = _start(len(cols)).masks()
     stride = digits + len(sep)  # input x's digits and sep start at stride * x
     text = bytearray(bytes(digits) + sep.encode()) * size
-    above = 0  # inputs with a nonzero digit above digit j
-    for j in reversed(range(digits)):
-        d0, d1, d2, d3 = bcd[4 * j:4 * j + 4]
-        if j:  # mark the zeros to print, those below a nonzero digit, as 10
-            nonzero = d0 | d1 | d2 | d3
-            inner = above & ~nonzero
-            above |= nonzero
-            d1 |= inner
-            d3 |= inner
-        plane = _spread((d0, d1, d2, d3), size, ones) | (ones << 4 if j else 0)
-        text[digits - 1 - j::stride] = plane.to_bytes(size, "little")
+    for j in range(0, digits, 2):  # digits j and j + 1 share a plane
+        plane = _plane(bcd[4 * j:4 * j + 8], size, masks)
+        text[digits - 1 - j::stride] = plane.translate(_LOW_DIGITS if j else _UNITS_DIGITS)
+        if j + 1 < digits:
+            text[digits - 2 - j::stride] = plane.translate(_HIGH_DIGITS)
     del text[len(text) - len(sep):]
-    return text.translate(_DIGIT_CHARS, b"\x10").decode("ascii")
+    return text.translate(None, b"\x10").decode("ascii")
 
 
 def gate_permutation(gate: Gate, width: int, *, max_width: int = DEFAULT_WIDTH_CAP) -> Specification:

@@ -3,11 +3,12 @@
 The simulation oracle evaluates gates per input pattern with plain bit
 twiddling, deliberately avoiding the library's bit-sliced columns so the
 two routes check each other; ``prefix_trace`` is the definition of the
-prefix specifications on top of it.  The elimination oracle is the
-paper's restarting scan, carried out literally on top of it.  The text
-oracles are the parser and formatter that handled one gate token at a
-time, and the synthesis oracle is the inverse synthesis that walked the
-specification as a list.
+prefix specifications on top of it, and ``table_reference`` reads a
+specification off columns without the library's transpose.  The
+elimination oracle is the paper's restarting scan, carried out literally
+on top of it.  The text oracles are the parser and formatter that
+handled one gate token at a time, and the synthesis oracle is the
+inverse synthesis that walked the specification as a list.
 """
 
 from __future__ import annotations
@@ -47,6 +48,15 @@ def simulate_bruteforce(c: Circuit) -> tuple[int, ...]:
             v = eval_gate(g, v)
         out.append(v)
     return tuple(out)
+
+
+def table_reference(cols: list[int]) -> tuple[int, ...]:
+    """The specification of bit-sliced columns, built one column at a
+    time from its binary digits: bit ``x`` of ``cols[k]`` is bit ``k`` of
+    entry ``x``.  It shares no code with the library's byte planes."""
+    size = 1 << len(cols)
+    digits = [format(col, f"0{size}b")[::-1] for col in reversed(cols)]  # input 0 first
+    return tuple(int("".join(bits), 2) for bits in zip(*digits))
 
 
 def prefix_trace(c: Circuit) -> tuple[tuple[int, ...], ...]:

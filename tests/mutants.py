@@ -31,6 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 _JSON_ENCODER = "tests/test_reduce.py::TestJsonWriter::test_matches_encoder"
 _INDEX = "tests/test_reduce.py::TestFingerprintIndex::"
 _PARSE = "tests/test_circuit.py::TestParse::"
+_BOUNDARIES = "tests/test_semantics.py::test_boundaries_match_column_at_a_time_reference"
 
 # (what the mutant breaks, [(file in src/revident, old, new), ...], [test node ids])
 MUTANTS = [
@@ -47,6 +48,15 @@ MUTANTS = [
     ("_plain: a field's _FinalColumns turned into a plain list",
      [("reduce.py", "if type(value) is _FinalColumns or not isinstance", "if not isinstance")],
      ["tests/test_reduce.py::TestReport::test_report_json_matches_encoder"]),
+    ("_transpose: the 28-bit delta-swap dropped",
+     [("semantics.py", "zip((7, 14, 28), masks)", "zip((7, 14), masks)")],
+     ["tests/test_semantics.py::test_simulate_matches_bruteforce_across_byte_planes"]),
+    ("_plane: no padded lane at widths 1 and 2, whose columns are shorter than one byte",
+     [("semantics.py", "step = -(-size // 8)", "step = size // 8")],
+     [_BOUNDARIES + "[1]", _BOUNDARIES + "[2]"]),
+    ("_spec_text: the units digit read through the non-units table, so entry 0 prints nothing",
+     [("semantics.py", "_LOW_DIGITS if j else _UNITS_DIGITS", "_LOW_DIGITS")],
+     ["tests/test_semantics.py::test_spec_text_matches_formatted_table"]),
     ("_spec_text: the trailing separator kept",
      [("semantics.py", "del text[len(text) - len(sep):]", "pass")],
      ["tests/test_semantics.py::test_spec_text_matches_formatted_table"]),

@@ -20,6 +20,7 @@ from revident import (
     WidthCapExceeded,
     WidthMismatchError,
     concat,
+    eliminate_ntris,
     equivalent,
     format_spec,
     gate_permutation,
@@ -36,7 +37,7 @@ from revident import (
 from revident import semantics
 from revident.semantics import _columns, _identity_columns, _slice, _spec_text, _start, _table
 
-from helpers import all_gates, circuits, prefix_trace, random_circuit, simulate_bruteforce
+from helpers import all_gates, circuits, prefix_trace, random_circuit, simulate_bruteforce, table_reference
 
 
 def test_identity_spec():
@@ -113,6 +114,34 @@ def test_spec_text_matches_formatted_table(width):
         assert "[\n    " + _spec_text(cols, ",\n    ") + "\n  ]" == nested
 
 
+def _boundary_cases(width):
+    # the identity; every entry 0 (all BCD columns zero, so only the units
+    # digit prints) and every entry 2**n - 1 (each BCD column all zeros or
+    # all ones); columns whose only set bit is input 0 or input 2**n - 1,
+    # the first and last bit of a plane, in every row of a lane
+    size = 1 << width
+    first, last = 1, 1 << (size - 1)
+    yield _identity_columns(width, 17)
+    yield [0] * width
+    yield [(1 << size) - 1] * width
+    yield [(first, last)[k % 2] for k in range(width)]
+    yield [(last, first)[k % 2] for k in range(width)]
+    yield _columns(random_circuit(random.Random(width), width, 2 * width), 17)
+
+
+@pytest.mark.parametrize("width", range(1, 18))
+def test_boundaries_match_column_at_a_time_reference(width):
+    # At widths 1 and 2 a column is shorter than one byte and its lane is
+    # padded, width 3 fills one byte exactly, and planes meet at 8 and 16.
+    # _slice, the inverse, must give the columns back.
+    for cols in _boundary_cases(width):
+        spec = table_reference(cols)
+        assert _table(cols) == spec
+        assert "[" + _spec_text(cols) + "]" == format_spec(spec)
+        assert _spec_text(cols, ",\n    ") == ",\n    ".join(map(str, spec))
+        assert _slice(spec) == cols
+
+
 def test_spec_text_peak_memory_at_width_16():
     # the formatted table peaks at about 6.5 MB: 65,536 ints and strings
     cols = _columns(random_circuit(random.Random(16), 16, 40), 16)
@@ -182,9 +211,9 @@ def test_kept_fingerprint_follows_column_hash(monkeypatch):
 
 
 def test_start_state_memory_is_bounded_per_width():
-    # w + 1 ints of 2**w bits and a plane of 2**w bytes per width: 200 KB
-    # of bits at width 16 and 393 KB for widths 1-16, which CPython keeps
-    # 30 bits to 4 bytes
+    # w + 1 ints of 2**w bits per width: 136 KB of bits at width 16 and
+    # 262 KB for widths 1-16, which CPython keeps 30 bits to 4 bytes; the
+    # transpose's masks are built with the first byte plane, not here
     _start.cache_clear()
     tracemalloc.start()
     try:
@@ -197,6 +226,23 @@ def test_start_state_memory_is_bounded_per_width():
         tracemalloc.stop()
     assert at_16 < 225 << 10
     assert held < 440 << 10
+
+
+def test_transpose_masks_are_built_with_the_first_plane():
+    # a reduction builds no masks; the first table at a width builds three
+    # ints of 2**w bytes, 192 KB of bits at width 16
+    _start.cache_clear()
+    c = random_circuit(random.Random(16), 16, 20)
+    eliminate_ntris(concat(c, inverse(c)))
+    assert _start(16)._masks == ()
+    tracemalloc.start()
+    try:
+        simulate(c)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(_start(16)._masks) == 3
+    assert held < 210 << 10
 
 
 @given(circuits())
