@@ -27,7 +27,7 @@ from .circuit import Circuit, insert_segment
 from .corpus import load_corpus_circuit
 from .cost import circuit_cost, gate_count
 from .reduce import Removal, eliminate_ntris
-from .semantics import Specification, is_identity, simulate
+from .semantics import Specification, equivalent, is_identity, simulate
 
 __all__ = [
     "Table1Row",
@@ -299,14 +299,13 @@ def run_table2(rows: tuple[Table2Row, ...] = TABLE2_ROWS) -> BenchReport:
         notes = []
         if (lo, hi) != row.bracket:
             notes.append(f"bracket parsed {(lo, hi)} vs recorded {row.bracket}")
-        spec = simulate(c)
-        spec_matches = spec == row.specification
+        spec_matches = simulate(c) == row.specification
         segment = Circuit(c.width, c.gates[lo:hi])
         bracket_is_identity = is_identity(segment)
         reduced, report = eliminate_ntris(c)
         survivors = surviving_indices(len(c.gates), report.removals)
         bracket_removed = all(i not in range(lo, hi) for i in survivors)
-        spec_preserved = simulate(reduced) == spec
+        spec_preserved = equivalent(c, reduced)
         computed_original = _gc(c)
         computed_reduced = _gc(reduced)
         if computed_original != row.printed_original:

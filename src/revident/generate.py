@@ -6,6 +6,8 @@ where ``C`` is a random circuit and the inverse is re-synthesized from
 is not a telescoping pattern a local scan could spot.  Candidates are
 rejection-sampled until the result is long enough and has no interior
 repeated prefix specification, which makes it removable only as a whole.
+This module draws the gates and does the sampling; the synthesis runs on
+the bit-sliced columns, as ``semantics._synthesize``.
 """
 
 from __future__ import annotations
@@ -17,12 +19,11 @@ from .circuit import Circuit, Gate
 from .semantics import (
     DEFAULT_WIDTH_CAP,
     Specification,
-    _Columns,
+    _columns,
     _first_repeat,
     _identity_columns,
-    _run,
     _slice,
-    _start,
+    _synthesize,
     is_permutation,
 )
 
@@ -102,20 +103,11 @@ def gen_random_circuit(cfg: GeneratorConfig) -> Circuit:
     return Circuit(cfg.width, tuple(gates))
 
 
-def _bits(x: int) -> list[int]:
-    return [b for b in range(x.bit_length()) if x >> b & 1]
-
-
 def synthesize_inverse(spec: Specification, width: int) -> Circuit:
-    """A circuit computing the inverse of ``spec``, one output at a time.
-
-    Walk outputs in ascending input order.  For input ``x`` with current
-    image ``y`` (always >= x, since everything below is already fixed):
-    first set the bits of ``x`` missing from ``y``, controlling each gate
-    on all bits currently in the image so no fixed row can fire; then
-    clear the bits not in ``x``, controlling on the bits of ``x``.  Gates
-    are appended in application order, so the returned circuit maps
-    ``spec`` back to the identity.
+    """A circuit computing the inverse of ``spec``, one output at a time
+    (``semantics._synthesize`` on its columns).  Gates are appended in
+    application order, so the returned circuit maps ``spec`` back to the
+    identity.
 
     Unlike the walks that take ``max_width``, it has no width cap: the
     caller has already built the ``2**width``-entry ``spec``.
@@ -123,30 +115,6 @@ def synthesize_inverse(spec: Specification, width: int) -> Circuit:
     if len(spec) != 1 << width or not is_permutation(spec):
         raise ValueError(f"not a permutation of 0..{(1 << width) - 1}")
     return Circuit(width, tuple(_synthesize(_slice(spec))))
-
-
-def _synthesize(cols: _Columns) -> list[Gate]:
-    """``synthesize_inverse``'s gates for the specification whose columns
-    are ``cols``, applied to ``cols`` in place until they are the
-    identity's.  The next input to fix is the lowest set bit of
-    ``OR_k(cols[k] ^ identity[k])``, every input below it being fixed."""
-    identity = _start(len(cols)).identity
-    gates: list[Gate] = []
-    while True:
-        unfixed = 0
-        for col, fixed in zip(cols, identity):
-            unfixed |= col ^ fixed
-        if not unfixed:
-            return gates
-        x = (unfixed & -unfixed).bit_length() - 1
-        y = sum((col >> x & 1) << k for k, col in enumerate(cols))
-        new = len(gates)
-        for b in _bits(x & ~y):
-            gates.append(Gate(frozenset(_bits(y)), b))
-            y |= 1 << b
-        x_controls = frozenset(_bits(x))
-        gates += [Gate(x_controls, b) for b in _bits(y & ~x)]
-        _run(cols, gates[new:])
 
 
 def is_interior_irreducible(c: Circuit, *, max_width: int = DEFAULT_WIDTH_CAP) -> bool:
@@ -165,14 +133,13 @@ def gen_random_ntri(cfg: GeneratorConfig) -> Circuit:
     rejections.  Synthesized gates may use more controls than
     ``max_controls``, which only bounds the random half.
     """
-    identity = _identity_columns(cfg.width, DEFAULT_WIDTH_CAP)  # before any gate is drawn
+    _identity_columns(cfg.width, DEFAULT_WIDTH_CAP)  # refuse the width before any gate is drawn
     rng = random.Random(cfg.seed)
     base = max(1, cfg.min_length // 2)
     for attempt in range(cfg.max_attempts):
         count = base + attempt // 100
         gates = _random_gates(rng, cfg.width, count, cfg.max_controls, True)
-        half = _run(identity.copy(), gates)
-        gates += _synthesize(half)
+        gates += _synthesize(_columns(Circuit._of(cfg.width, tuple(gates)), DEFAULT_WIDTH_CAP))
         whole = Circuit(cfg.width, tuple(gates))
         if len(whole.gates) >= cfg.min_length and is_interior_irreducible(whole):
             return whole

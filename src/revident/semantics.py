@@ -21,9 +21,10 @@ transpose, ``_transpose``: the columns' bytes are interleaved into
 is its own inverse, so ``_slice``, ``_table``'s inverse, takes its
 columns from the entry planes with it too.  Widths above
 ``DEFAULT_WIDTH_CAP`` are rejected unless the caller raises
-``max_width``, before anything is built.  Only
-``generate.synthesize_inverse`` has no cap: its caller has already built
-the ``2**n``-entry table.
+``max_width``, before anything is built.  ``_synthesize``, the inverse
+synthesis behind ``generate``, works on columns too: a random half's, or
+``_slice`` of the table that ``synthesize_inverse`` takes with no width
+cap, since its caller built the table.
 
 No specification is kept between calls.  What depends only on the width
 is built by ``_start`` on first use and kept for the process, one
@@ -242,6 +243,39 @@ def _slice(spec: Specification) -> _Columns:
         lanes = plane.to_bytes(size, "little")  # byte 8k + b is byte k of column p + b
         cols += [int.from_bytes(lanes[b::8], "little") for b in range(8)]
     return cols[:width]
+
+
+def _bits(x: int) -> list[int]:
+    return [b for b in range(x.bit_length()) if x >> b & 1]
+
+
+def _synthesize(cols: _Columns) -> list[Gate]:
+    """``generate.synthesize_inverse``'s gates for the specification
+    whose columns are ``cols``, applied to ``cols`` in place until they
+    are the identity's.  Walk outputs in ascending input order.  The next
+    input ``x`` to fix is the lowest set bit of ``OR_k(cols[k] ^
+    identity[k])``, every input below it being fixed, so its image ``y``
+    is at least ``x``.  First set the bits of ``x`` missing from ``y``,
+    controlling each gate on all bits currently in the image so no fixed
+    row can fire; then clear the bits not in ``x``, controlling on the
+    bits of ``x``."""
+    identity = _start(len(cols)).identity
+    gates: list[Gate] = []
+    while True:
+        unfixed = 0
+        for col, fixed in zip(cols, identity):
+            unfixed |= col ^ fixed
+        if not unfixed:
+            return gates
+        x = (unfixed & -unfixed).bit_length() - 1
+        y = sum((col >> x & 1) << k for k, col in enumerate(cols))
+        new = len(gates)
+        for b in _bits(x & ~y):
+            gates.append(Gate(frozenset(_bits(y)), b))
+            y |= 1 << b
+        x_controls = frozenset(_bits(x))
+        gates += [Gate(x_controls, b) for b in _bits(y & ~x)]
+        _run(cols, gates[new:])
 
 
 # Text bytes of a digit by the value of its nibble in a plane: 10 marks a

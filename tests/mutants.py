@@ -73,10 +73,17 @@ MUTANTS = [
      [("semantics.py", "h = _column_hash(col)\n",
        "h = _column_hash(col) + 0 * _column_hash(col)\n")],
      [_INDEX + "test_work_is_linear_in_gates"]),
+    ("_cuts: the index rollback skipped, so cut prefixes stay candidates",
+     [("semantics.py", "for f in fps[j + 1:]:", "for f in ():")],
+     [_INDEX + "test_cut_prefixes_leave_the_index"]),
     ("_spans_identity: the last column never compared",
      [("semantics.py", "return tuple(_run(cols, gates)) == _start(len(cols)).identity",
        "return tuple(_run(cols, gates))[:-1] == _start(len(cols)).identity[:-1]")],
      ["tests/test_semantics.py::test_no_single_gate_is_the_identity"]),
+    ("_synthesize: the clearing gates controlled on the image's other bits, not on x's",
+     [("semantics.py", "gates += [Gate(x_controls, b) for b in _bits(y & ~x)]",
+       "gates += [Gate(frozenset(_bits(y & ~(1 << b))), b) for b in _bits(y & ~x)]")],
+     ["tests/test_generate.py::TestSynthesisMatchesListVersion"]),
     ("parse_circuit: the commas that \";\" separators leave kept in front of a piece",
      [("circuit.py", 'repeat(","))]', 'repeat(""))]')],
      [_PARSE + "test_equal_gates_are_one_object_whatever_separates_them"]),
@@ -106,6 +113,12 @@ MUTANTS = [
      [("bench.py", "del idx[r.start_gap : r.end_index]",
        "del idx[r.start_gap + 1 : r.end_index + 1]")],
      ["tests/test_bench.py::test_surviving_indices_replay"]),
+    ("run_table1: a row passes on the host's gate count alone, recovered or not",
+     [("bench.py", "ok = recovered and ", "ok = ")],
+     ["tests/test_bench.py::TestTable1::test_recovery_needs_the_host_gates_not_only_their_count"]),
+    ("run_table2: a row passes whether the reduction kept the specification or not",
+     [("bench.py", "            and spec_preserved\n", "")],
+     ["tests/test_bench.py::TestTable2::test_spec_preserved_checks_the_reduced_circuit"]),
 ]
 
 

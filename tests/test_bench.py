@@ -78,6 +78,20 @@ class TestTable1:
             else:
                 assert r.computed_bugged[0] == r.printed_bugged[0], r.benchmark
 
+    def test_recovery_needs_the_host_gates_not_only_their_count(self, monkeypatch):
+        # A reduction with the host's gate count but other gates recovers
+        # nothing, so every row fails although the counts match.
+        real = bench.eliminate_ntris
+
+        def other_gates(c, *args, **kwargs):
+            out, report = real(c, *args, **kwargs)
+            return Circuit(out.width, (mct((), 0),) * len(out)), report
+
+        monkeypatch.setattr(bench, "eliminate_ntris", other_gates)
+        report = run_table1()
+        assert not any(r.recovered for r in report.rows)
+        assert all(r.status == "fail" for r in report.rows)
+
     def test_marker_gaps_recorded(self):
         rows = {r.benchmark: r for r in run_table1().rows}
         assert rows["4_49"].marker_gap == 5
@@ -187,10 +201,10 @@ def test_repeat_bench_all_parses_no_corpus_file(monkeypatch, capsys):
 
 
 # Per ``bench all``: 13 splices and 13 bracket checks, one reduction per
-# row of both suites, two simulations per table 2 row, and (gates, cost)
-# three times per table 1 row and twice per table 2 row.
-ROW_WORK = {"insert_segment": 13, "eliminate_ntris": 26, "simulate": 26, "is_identity": 13,
-            "gate_count": 65, "circuit_cost": 65, "load_corpus_circuit": 39}
+# row of both suites, one simulation and one equivalence check per table 2
+# row, and (gates, cost) three times per table 1 row and twice per table 2 row.
+ROW_WORK = {"insert_segment": 13, "eliminate_ntris": 26, "simulate": 13, "equivalent": 13,
+            "is_identity": 13, "gate_count": 65, "circuit_cost": 65, "load_corpus_circuit": 39}
 
 
 def test_every_bench_all_recomputes_every_row(monkeypatch, capsys):

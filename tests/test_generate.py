@@ -23,8 +23,8 @@ from revident import (
     simulate,
     synthesize_inverse,
 )
-from revident.generate import _random_gates, _synthesize
-from revident.semantics import _columns
+from revident.generate import _random_gates
+from revident.semantics import _columns, _synthesize
 
 from helpers import synthesize_inverse_reference
 

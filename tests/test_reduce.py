@@ -318,6 +318,26 @@ class TestFingerprintIndex:
             assert len(hashed) == len(c.gates)
             assert report.removals and 0 < sum(confirmed) <= len(c.gates)
 
+    def test_cut_prefixes_leave_the_index(self, monkeypatch):
+        # A cut must take the prefixes it deletes out of the index.  Left
+        # in, each would be confirmed, and fail, whenever its fingerprint
+        # came back: here a block's prefixes return once per later block,
+        # so confirmations grow with the square of the blocks while the
+        # removals stay the same.
+        block = parse_circuit("NOT(a) CNOT(a, b) CNOT(b, c) CNOT(b, c) CNOT(a, b) NOT(a)")
+        c = Circuit(3, block.gates * 200)
+        confirmed = []
+        spans_identity = semantics._spans_identity
+
+        def counting_spans_identity(cols, gates):
+            confirmed.append(len(gates))
+            return spans_identity(cols, gates)
+
+        monkeypatch.setattr(semantics, "_spans_identity", counting_spans_identity)
+        out, report = eliminate_ntris(c)
+        assert out.gates == () and len(report.removals) == 600
+        assert len(confirmed) <= len(report.removals)
+
     def test_peak_memory_at_width_16(self):
         c = gen_random_circuit(GeneratorConfig(width=16, gates=500, seed=3))
         tracemalloc.start()
