@@ -11,7 +11,9 @@ an identity, and that elimination removes that whole span while
 preserving the specification.
 
 Every row also carries the (gates, cost) figures published with the
-corpus.  Where recomputation disagrees with a published figure, the row
+corpus.  The figures of the circuit a row reduces are its reduction
+report's; the host and reduced circuits are counted from their gates.
+Where recomputation disagrees with a published figure, the row
 reports a discrepancy entry; published figures are never silently
 reconciled with computed ones, and a cost discrepancy alone does not
 fail a row.  Both outputs, the JSON of ``BenchReport.to_dict`` and the
@@ -20,10 +22,11 @@ text of ``render_report``, come from one row layout per suite, ``_LAYOUTS``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .circuit import Circuit, insert_segment
+from .circuit import Circuit, _assemble, insert_segment
 from .corpus import load_corpus_circuit
 from .cost import circuit_cost, gate_count
 from .reduce import Removal, eliminate_ntris
@@ -254,10 +257,10 @@ def run_table1(rows: tuple[Table1Row, ...] = TABLE1_ROWS) -> BenchReport:
             raise ValueError(f"{row.host_id} has no # marker")
         gap = host.insertion_point
         bugged = insert_segment(host, segment, gap)
-        reduced, _report = eliminate_ntris(bugged)
+        reduced, report = eliminate_ntris(bugged)
         recovered = reduced == host
         computed_optimal = _gc(host)
-        computed_bugged = _gc(bugged)
+        computed_bugged = report.input_gates, report.input_cost
         notes = []
         if row.printed_insertion_point != gap + 1:
             notes.append(
@@ -271,21 +274,20 @@ def run_table1(rows: tuple[Table1Row, ...] = TABLE1_ROWS) -> BenchReport:
             notes.append(
                 f"bugged printed {row.printed_bugged} computed {computed_bugged}"
             )
-        ok = recovered and _gc(reduced)[0] == row.printed_optimal[0]
-        results.append(
-            Table1Result(
-                benchmark=row.benchmark,
-                recovered=recovered,
-                marker_gap=gap,
-                printed_insertion_point=row.printed_insertion_point,
-                computed_optimal=computed_optimal,
-                printed_optimal=row.printed_optimal,
-                computed_bugged=computed_bugged,
-                printed_bugged=row.printed_bugged,
-                discrepancies=tuple(notes),
-                status="pass" if ok else "fail",
-            )
-        )
+        ok = recovered and gate_count(reduced) == row.printed_optimal[0]
+        results.append(_assemble(
+            Table1Result,
+            benchmark=row.benchmark,
+            recovered=recovered,
+            marker_gap=gap,
+            printed_insertion_point=row.printed_insertion_point,
+            computed_optimal=computed_optimal,
+            printed_optimal=row.printed_optimal,
+            computed_bugged=computed_bugged,
+            printed_bugged=row.printed_bugged,
+            discrepancies=tuple(notes),
+            status="pass" if ok else "fail",
+        ))
     return BenchReport("table1", tuple(results))
 
 
@@ -304,9 +306,10 @@ def run_table2(rows: tuple[Table2Row, ...] = TABLE2_ROWS) -> BenchReport:
         bracket_is_identity = is_identity(segment)
         reduced, report = eliminate_ntris(c)
         survivors = surviving_indices(len(c.gates), report.removals)
-        bracket_removed = all(i not in range(lo, hi) for i in survivors)
+        # survivors ascend: none lies in [lo, hi) when lo and hi split them alike
+        bracket_removed = bisect_left(survivors, lo) == bisect_left(survivors, hi)
         spec_preserved = equivalent(c, reduced)
-        computed_original = _gc(c)
+        computed_original = report.input_gates, report.input_cost
         computed_reduced = _gc(reduced)
         if computed_original != row.printed_original:
             notes.append(
@@ -326,22 +329,21 @@ def run_table2(rows: tuple[Table2Row, ...] = TABLE2_ROWS) -> BenchReport:
             and spec_preserved
             and computed_original[0] == row.printed_original[0]
         )
-        results.append(
-            Table2Result(
-                circuit_id=row.circuit_id,
-                spec_matches=spec_matches,
-                bracket=(lo, hi),
-                bracket_is_identity=bracket_is_identity,
-                bracket_removed=bracket_removed,
-                spec_preserved=spec_preserved,
-                computed_original=computed_original,
-                printed_original=row.printed_original,
-                computed_reduced=computed_reduced,
-                printed_hybrid=row.printed_hybrid,
-                discrepancies=tuple(notes),
-                status="pass" if ok else "fail",
-            )
-        )
+        results.append(_assemble(
+            Table2Result,
+            circuit_id=row.circuit_id,
+            spec_matches=spec_matches,
+            bracket=(lo, hi),
+            bracket_is_identity=bracket_is_identity,
+            bracket_removed=bracket_removed,
+            spec_preserved=spec_preserved,
+            computed_original=computed_original,
+            printed_original=row.printed_original,
+            computed_reduced=computed_reduced,
+            printed_hybrid=row.printed_hybrid,
+            discrepancies=tuple(notes),
+            status="pass" if ok else "fail",
+        ))
     return BenchReport("table2", tuple(results))
 
 

@@ -97,6 +97,14 @@ def mct(controls: "frozenset[int] | set[int] | tuple[int, ...] | list[int]", tar
     return Gate(frozenset(controls), target)
 
 
+def _assemble(cls: type, **values):
+    """A ``cls`` holding ``values``, given in field order, set by one ``vars``
+    update: for ``Circuit._of`` and for frozen dataclasses whose ``__init__`` only assigns."""
+    obj = object.__new__(cls)
+    vars(obj).update(values)
+    return obj
+
+
 @dataclass(frozen=True)
 class Circuit:
     """An ordered gate list over ``width`` wires.
@@ -134,9 +142,7 @@ class Circuit:
             bracket: tuple[int, int] | None = None) -> Circuit:
         """A circuit whose gates are known to fit ``width`` and whose
         annotations are in range, made without ``__post_init__``'s checks."""
-        c = object.__new__(cls)
-        vars(c).update(width=width, gates=gates, insertion_point=insertion_point, bracket=bracket)
-        return c
+        return _assemble(cls, width=width, gates=gates, insertion_point=insertion_point, bracket=bracket)
 
     @classmethod
     def empty(cls, width: int) -> Circuit:

@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
 
-from .circuit import Circuit, Gate
+from .circuit import Circuit, Gate, _assemble
 from .cost import DEFAULT_COST_TABLE, _sum_costs
 from .semantics import (
     DEFAULT_WIDTH_CAP,
@@ -225,10 +225,12 @@ def _report(
     table: Mapping[int, int],
     spec: "_FinalColumns | None",
 ) -> tuple[Circuit, ReductionReport]:
+    """The output and its report, assembled; ``bench`` takes a row's input (gates, cost) from it."""
     out = Circuit._of(c.width, tuple(out_gates))
     # With every input gate in the table, each removal's cost is known.
     input_cost = _maybe_cost(c.gates, table)
-    report = ReductionReport(
+    report = _assemble(
+        ReductionReport,
         passes=passes,
         removals=tuple(removals),
         input_gates=len(c.gates),

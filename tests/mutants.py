@@ -32,6 +32,7 @@ _JSON_ENCODER = "tests/test_reduce.py::TestJsonWriter::test_matches_encoder"
 _INDEX = "tests/test_reduce.py::TestFingerprintIndex::"
 _PARSE = "tests/test_circuit.py::TestParse::"
 _BOUNDARIES = "tests/test_semantics.py::test_boundaries_match_column_at_a_time_reference"
+_BRACKET_EDGES = "tests/test_bench.py::TestTable2::test_bracket_removed_at_its_edges"
 
 # (what the mutant breaks, [(file in src/revident, old, new), ...], [test node ids])
 MUTANTS = [
@@ -119,6 +120,22 @@ MUTANTS = [
     ("run_table2: a row passes whether the reduction kept the specification or not",
      [("bench.py", "            and spec_preserved\n", "")],
      ["tests/test_bench.py::TestTable2::test_spec_preserved_checks_the_reduced_circuit"]),
+    ("run_table2: the bracket test starts one gate late, so a surviving gate lo is missed",
+     [("bench.py", "bisect_left(survivors, lo)", "bisect_left(survivors, lo + 1)")],
+     [_BRACKET_EDGES]),
+    ("run_table2: the bracket test ends one gate early, so a surviving gate hi - 1 is missed",
+     [("bench.py", "bisect_left(survivors, hi)", "bisect_left(survivors, hi - 1)")],
+     [_BRACKET_EDGES]),
+    ("run_table2: the bracket test ends one gate late, so a surviving gate hi counts against it",
+     [("bench.py", "bisect_left(survivors, hi)", "bisect_left(survivors, hi + 1)")],
+     [_BRACKET_EDGES]),
+    ("run_table1: the bugged figures read from the reduced side of the report",
+     [("bench.py", "computed_bugged = report.input_gates, report.input_cost",
+       "computed_bugged = report.output_gates, report.output_cost")],
+     ["tests/test_cli.py::test_bench_output_is_golden"]),
+    ("_report: the report assembled without its comparisons",
+     [("reduce.py", "        comparisons=comparisons,\n", "")],
+     ["tests/test_dataclasses.py::test_assembled_values_equal_constructed_ones"]),
 ]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from collections import Counter
 
@@ -130,6 +131,37 @@ class TestTable2:
         assert not any(r.spec_preserved for r in report.rows)
         assert not report.passed
 
+    # Gates a rigged reduction keeps of a bracket [lo, hi) in m gates, and
+    # whether the bracket then counts as removed.
+    @pytest.mark.parametrize("kept, removed", [
+        (lambda lo, hi, m: [lo], False),
+        (lambda lo, hi, m: [hi - 1], False),
+        (lambda lo, hi, m: [*range(lo), *range(hi, m)], True),
+    ], ids=["lo", "hi-1", "all but the bracket"])
+    def test_bracket_removed_at_its_edges(self, monkeypatch, kept, removed):
+        # The corpus reductions remove every bracket, so the edges are
+        # reached by rewriting each report's removals to keep chosen gates.
+        real = bench.eliminate_ntris
+
+        def rigged(c, *args, **kwargs):
+            out, report = real(c, *args, **kwargs)
+            m, (lo, hi) = len(c.gates), c.bracket
+            keep = kept(lo, hi, m)
+            assert 0 < lo < hi < m
+            removals, before, i = [], 0, 0
+            for k in [*keep, m]:  # delete the run of gates in front of each kept one
+                if k > i:
+                    removals.append(Removal(before, before + k - i, k - i, None))
+                before, i = before + 1, k + 1
+            assert surviving_indices(m, tuple(removals)) == keep
+            return out, dataclasses.replace(report, removals=tuple(removals))
+
+        monkeypatch.setattr(bench, "eliminate_ntris", rigged)
+        rows = run_table2().rows
+        assert [r.bracket_removed for r in rows] == [removed] * 13
+        if not removed:
+            assert {r.status for r in rows} == {"fail"}
+
     def test_reduced_figures_for_selected_rows(self):
         rows = {r.circuit_id: r for r in run_table2().rows}
         assert rows["app2_8"].computed_original == (23, 127)
@@ -202,9 +234,11 @@ def test_repeat_bench_all_parses_no_corpus_file(monkeypatch, capsys):
 
 # Per ``bench all``: 13 splices and 13 bracket checks, one reduction per
 # row of both suites, one simulation and one equivalence check per table 2
-# row, and (gates, cost) three times per table 1 row and twice per table 2 row.
+# row.  Each row's input (gates, cost) comes from its reduction report; a
+# table 1 row counts the host's (gates, cost) and the reduced gates, and a
+# table 2 row counts the reduced (gates, cost).
 ROW_WORK = {"insert_segment": 13, "eliminate_ntris": 26, "simulate": 13, "equivalent": 13,
-            "is_identity": 13, "gate_count": 65, "circuit_cost": 65, "load_corpus_circuit": 39}
+            "is_identity": 13, "gate_count": 39, "circuit_cost": 26, "load_corpus_circuit": 39}
 
 
 def test_every_bench_all_recomputes_every_row(monkeypatch, capsys):

@@ -3,17 +3,21 @@ kept out of equality, frozenness, ``repr``, hashing and ``asdict``."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
-from revident import Circuit, Gate, GeneratorConfig, ReductionReport, Removal
+from revident import Circuit, Gate, GeneratorConfig, ReductionReport, Removal, eliminate_ntris
 from revident.bench import (
     BenchReport,
     Table1Result,
     Table1Row,
     Table2Result,
     Table2Row,
+    run_table1,
+    run_table2,
 )
 
 _SPEC = (12, 7, 2, 5, 0, 15, 14, 11, 6, 3, 10, 1, 8, 9, 4, 13)
@@ -132,3 +136,30 @@ def test_asdict_shapes():
         "start_gap", "end_index", "gate_count", "cost"]
     assert dataclasses.asdict(Gate(frozenset({0, 2}), 1)) == {
         "controls": frozenset({0, 2}), "target": 1}
+
+
+# Values the package assembles by one ``vars`` update instead of ``__init__``,
+# each made where the package makes it.
+_GATES = (Gate(frozenset({0, 2}), 1), Gate(frozenset(), 0), Gate(frozenset(), 0))
+ASSEMBLED = [
+    lambda: Circuit._of(3, _GATES, 1, (0, 2)),
+    lambda: eliminate_ntris(Circuit(3, _GATES))[1],
+    lambda: run_table1().rows[0],
+    lambda: run_table2().rows[0],
+]
+
+
+@pytest.mark.parametrize("make", ASSEMBLED, ids=["Circuit", "ReductionReport", "Table1Result",
+                                                 "Table2Result"])
+def test_assembled_values_equal_constructed_ones(make):
+    assembled = make()
+    cls = type(assembled)
+    names = [f.name for f in dataclasses.fields(cls)]
+    built = cls(**{name: getattr(assembled, name) for name in names})
+    for value in (assembled, pickle.loads(pickle.dumps(assembled)), copy.deepcopy(assembled)):
+        assert value == built and hash(value) == hash(built)
+        assert repr(value) == repr(built)
+        assert list(vars(value)) == list(vars(built)) == names
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, None)
