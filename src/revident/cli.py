@@ -16,7 +16,7 @@ import sys
 from .circuit import ParseError, _wire_names, concat, format_circuit, insert_segment, parse_circuit
 from .cost import CostTableError, DEFAULT_COST_TABLE, circuit_cost, gate_count, load_cost_table
 from .generate import GeneratorConfig, GeneratorError, gen_random_circuit, gen_random_ntri
-from .reduce import _json, _report_json, eliminate_ntris, remove_trivial_identities
+from .reduce import _json, eliminate_ntris, remove_trivial_identities
 from .semantics import DEFAULT_WIDTH_CAP, WidthCapExceeded, _columns, _spec_text, equivalent
 
 
@@ -66,7 +66,7 @@ def _cmd_reduce(args) -> int:
     else:
         reduced, report = eliminate_ntris(c, table)
     if args.report:
-        text = _report_json(report) + "\n"
+        text = _json(report) + "\n"
         try:
             with open(args.report, "w", encoding="utf-8") as f:
                 f.write(text)

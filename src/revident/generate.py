@@ -47,7 +47,8 @@ class GeneratorConfig:
 
     ``gen_random_circuit`` reads ``gates``, its exact length, and
     ``forbid_adjacent_duplicates``.  ``gen_random_ntri`` reads
-    ``min_length``, the minimum NTRI length, and ``max_attempts``; it
+    ``min_length``, the minimum NTRI length (four gates at least,
+    whatever it asks), and ``max_attempts``; it
     always forbids adjacent duplicates, because an adjacent equal pair
     is an interior identity and would always be rejected.  Both read
     ``width``, ``seed`` and ``max_controls``, which defaults to the
@@ -124,18 +125,21 @@ def is_interior_irreducible(c: Circuit, *, max_width: int = DEFAULT_WIDTH_CAP) -
 
 
 def gen_random_ntri(cfg: GeneratorConfig) -> Circuit:
-    """A random identity circuit of at least ``cfg.min_length`` gates
-    with no interior repeated prefix specification.
+    """A random identity circuit of at least ``cfg.min_length`` gates,
+    and never fewer than four, with no interior repeated prefix
+    specification.
 
-    Candidates pair a random circuit with its re-synthesized inverse;
-    too-short or interior-reducible candidates are rejected and redrawn
+    Candidates pair a random circuit of at least two gates with its
+    re-synthesized inverse: one gate's inverse is that gate, an adjacent
+    equal pair, and two distinct MCT gates never multiply to one gate.
+    Too-short or interior-reducible candidates are rejected and redrawn
     from the same stream.  Raises GeneratorError after ``max_attempts``
     rejections.  Synthesized gates may use more controls than
     ``max_controls``, which only bounds the random half.
     """
     _identity_columns(cfg.width, DEFAULT_WIDTH_CAP)  # refuse the width before any gate is drawn
     rng = random.Random(cfg.seed)
-    base = max(1, cfg.min_length // 2)
+    base = max(2, cfg.min_length // 2)
     for attempt in range(cfg.max_attempts):
         count = base + attempt // 100
         gates = _random_gates(rng, cfg.width, count, cfg.max_controls, True)

@@ -113,8 +113,8 @@ class _SpecField:
 
 def _plain(value):
     """A field's value as ``to_dict`` gives it: a sequence as a list, each
-    ``Removal`` in it as a dict.  ``_FinalColumns`` are left for ``_json``."""
-    if type(value) is _FinalColumns or not isinstance(value, (tuple, list)):
+    ``Removal`` in it as a dict."""
+    if not isinstance(value, (tuple, list)):
         return value
     return [asdict(r) for r in value] if value and isinstance(value[0], Removal) else list(value)
 
@@ -164,8 +164,10 @@ class ReductionReport:
 def _json(value) -> str:
     """``json.dumps(value, indent=2)``, byte for byte: the one JSON writer.
     ``value`` holds dicts with ``str`` keys, lists, tuples, ``str``, ``int``,
-    ``bool``, None and ``_FinalColumns`` (written from the columns by
-    ``_spec_text``, once per object and depth); other types raise TypeError."""
+    ``bool``, None, ``_FinalColumns`` (written from the columns by
+    ``_spec_text``, once per object and depth), and ``ReductionReport`` and
+    ``Removal`` (written as ``to_dict()`` writes them, from their stored
+    fields in declaration order); other types raise TypeError."""
     from json.encoder import encode_basestring_ascii as text  # on use: no json on import
     parts: list[str] = []  # every piece of the text, joined once
     specs: dict[tuple[int, str], str] = {}  # _spec_text's entries by (id(columns), pad)
@@ -196,17 +198,14 @@ def _json(value) -> str:
                 write(x, inner)
             parts[first] = "{" if t is dict else "["  # in place of the first item's comma
             parts.extend((pad, "}" if t is dict else "]"))
+        elif t is ReductionReport or t is Removal:  # last: bench payloads never get here
+            write({f.name: vars(v)[f.name] for f in fields(v)}, pad)
         else:
             raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
     write(value, "\n")
     del write  # write refers to itself: without the del, parts lives on until a collection
     return "".join(parts)
-
-
-def _report_json(report: ReductionReport) -> str:
-    """``json.dumps(report.to_dict(), indent=2)``, byte for byte, by one ``_json`` call."""
-    return _json({f.name: _plain(vars(report)[f.name]) for f in fields(report)})
 
 
 def _maybe_cost(gates: "list[Gate] | tuple[Gate, ...]", table: Mapping[int, int]) -> int | None:

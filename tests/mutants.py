@@ -46,9 +46,17 @@ MUTANTS = [
     ("_json: the once-per-object specification cache bypassed",
      [("reduce.py", "if (id(v), pad) not in specs:", "if True:")],
      ["tests/test_reduce.py::TestReport::test_shared_specification_is_written_once"]),
-    ("_plain: a field's _FinalColumns turned into a plain list",
-     [("reduce.py", "if type(value) is _FinalColumns or not isinstance", "if not isinstance")],
+    ("_json: a Removal refused as not serializable",
+     [("reduce.py", "elif t is ReductionReport or t is Removal:", "elif t is ReductionReport:")],
      ["tests/test_reduce.py::TestReport::test_report_json_matches_encoder"]),
+    ("_json: a report's fields read through getattr, which tabulates the columns",
+     [("reduce.py", "write({f.name: vars(v)[f.name] for f in fields(v)}, pad)",
+       "write({f.name: getattr(v, f.name) for f in fields(v)}, pad)")],
+     ["tests/test_reduce.py::TestReport::test_shared_specification_is_written_once"]),
+    ("_json: a report's fields written in the order they were stored",
+     [("reduce.py", "write({f.name: vars(v)[f.name] for f in fields(v)}, pad)",
+       "write(dict(vars(v)), pad)")],
+     ["tests/test_reduce.py::TestReport::test_json_writes_fields_in_declaration_order"]),
     ("_transpose: the 28-bit delta-swap dropped",
      [("semantics.py", "zip((7, 14, 28), masks)", "zip((7, 14), masks)")],
      ["tests/test_semantics.py::test_simulate_matches_bruteforce_across_byte_planes"]),
@@ -85,6 +93,10 @@ MUTANTS = [
      [("semantics.py", "gates += [Gate(x_controls, b) for b in _bits(y & ~x)]",
        "gates += [Gate(frozenset(_bits(y & ~(1 << b))), b) for b in _bits(y & ~x)]")],
      ["tests/test_generate.py::TestSynthesisMatchesListVersion"]),
+    ("gen_random_ntri: a one-gate random half, whose inverse is that same gate",
+     [("generate.py", "base = max(2, cfg.min_length // 2)", "base = max(1, cfg.min_length // 2)")],
+     ["tests/test_generate.py::TestRandomNtri::test_short_minimum_gives_no_trivial_identity",
+      "tests/test_generate.py::TestRandomNtri::test_minimum_of_three_is_reached_at_width_3"]),
     ("parse_circuit: the commas that \";\" separators leave kept in front of a piece",
      [("circuit.py", 'repeat(","))]', 'repeat(""))]')],
      [_PARSE + "test_equal_gates_are_one_object_whatever_separates_them"]),

@@ -102,6 +102,12 @@ class TestTable1:
                if r.printed_insertion_point != r.marker_gap + 1}
         assert off == {"hwb4", "oc6", "oc8"}
 
+    def test_host_without_marker_is_refused(self):
+        # app2_1 carries a bracket but no # marker
+        row = dataclasses.replace(TABLE1_ROWS[0], host_id="app2_1")
+        with pytest.raises(ValueError, match="app2_1 has no # marker"):
+            run_table1((row,))
+
 
 class TestTable2:
     def test_all_rows_pass(self):
@@ -161,6 +167,20 @@ class TestTable2:
         assert [r.bracket_removed for r in rows] == [removed] * 13
         if not removed:
             assert {r.status for r in rows} == {"fail"}
+
+    def test_circuit_without_bracket_is_refused(self):
+        row = dataclasses.replace(TABLE2_ROWS[0], circuit_id="app1_1a")
+        with pytest.raises(ValueError, match="app1_1a has no bracket"):
+            run_table2((row,))
+
+    def test_recorded_bracket_mismatch_is_a_note(self):
+        row = TABLE2_ROWS[0]
+        assert (row.circuit_id, row.bracket) == ("app2_1", (4, 14))
+        report = run_table2((dataclasses.replace(row, bracket=(4, 15)),))
+        note = "bracket parsed (4, 14) vs recorded (4, 15)"
+        assert note in report.rows[0].discrepancies
+        assert report.passed
+        assert f"  app2_1: {note}" in render_report(report).splitlines()
 
     def test_reduced_figures_for_selected_rows(self):
         rows = {r.circuit_id: r for r in run_table2().rows}

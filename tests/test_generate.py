@@ -20,6 +20,7 @@ from revident import (
     is_identity,
     is_interior_irreducible,
     mct,
+    remove_trivial_identities,
     simulate,
     synthesize_inverse,
 )
@@ -151,6 +152,20 @@ class TestRandomNtri:
             assert out.gates == ()
             assert len(report.removals) == 1
             assert report.removals[0].gate_count == len(c)
+
+    # a one-gate random half would be re-synthesized as that same gate:
+    # an adjacent equal pair, which the trivial pass cancels
+    @pytest.mark.parametrize("width", [2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("min_length", [0, 1, 2, 3])
+    def test_short_minimum_gives_no_trivial_identity(self, width, min_length):
+        for seed in range(10):
+            c = gen_random_ntri(GeneratorConfig(width=width, min_length=min_length, seed=seed))
+            assert len(c) >= 4 and is_identity(c) and is_interior_irreducible(c)
+            assert remove_trivial_identities(c)[0] == c
+
+    def test_minimum_of_three_is_reached_at_width_3(self):
+        c = gen_random_ntri(GeneratorConfig(width=3, min_length=3, seed=0, max_attempts=100))
+        assert len(c) >= 4 and is_identity(c)
 
     def test_budget_exhaustion_raises(self):
         # at width 2 there are only 24 specifications, so a 48-gate

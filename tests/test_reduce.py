@@ -4,6 +4,7 @@ both its names, and the reduction reports."""
 from __future__ import annotations
 
 import copy
+import dataclasses
 import functools
 import json
 import pickle
@@ -34,8 +35,9 @@ from revident import (
 )
 from revident import semantics
 from revident.bench import surviving_indices
+from revident.circuit import _assemble
 from revident.cost import DEFAULT_COST_TABLE
-from revident.reduce import _FinalColumns, _json, _maybe_cost, _report_json
+from revident.reduce import _FinalColumns, _json, _maybe_cost
 from revident.semantics import _columns, _first_repeat, _table
 
 from helpers import (
@@ -394,7 +396,7 @@ class TestReport:
         eager = ReductionReport(**fields)
         assert eager == lazy and hash(eager) == hash(lazy)
         assert eager.to_dict() == lazy.to_dict()
-        assert _report_json(eager) == _report_json(lazy) == json.dumps(lazy.to_dict(), indent=2)
+        assert _json(eager) == _json(lazy) == json.dumps(lazy.to_dict(), indent=2)
         with pytest.raises(TypeError):
             ReductionReport(**{k: v for k, v in fields.items() if k != "output_spec"})
 
@@ -404,7 +406,7 @@ class TestReport:
         report = ReductionReport(2, (Removal(0, 2, 2, 2),), 3, 1, 3, 1, spec, spec, comparisons=3)
         assert report.input_spec is spec and report.output_spec is spec
         assert report.to_dict()["output_spec"] == [0, 1, 3, 2]
-        assert _report_json(report) == json.dumps(report.to_dict(), indent=2)
+        assert _json(report) == json.dumps(report.to_dict(), indent=2)
 
     def test_unread_report_survives_pickle_and_deepcopy(self, monkeypatch):
         calls = []
@@ -416,9 +418,9 @@ class TestReport:
         monkeypatch.setattr("revident.reduce._table", counting)
         c = parse_circuit(GOLDEN)
         _, lazy = eliminate_ntris(c)
-        text = _report_json(lazy)
+        text = _json(lazy)
         copies = [pickle.loads(pickle.dumps(lazy)), copy.deepcopy(lazy)]
-        assert [_report_json(r) for r in copies] == [text, text]
+        assert [_json(r) for r in copies] == [text, text]
         assert calls == []
         for r in copies:
             assert r == lazy and r.output_spec is r.input_spec == simulate(c)
@@ -452,7 +454,7 @@ class TestReport:
         _, report = reduce(c, table)
         if read:
             report.input_spec
-        assert _report_json(report) == json.dumps(report.to_dict(), indent=2)
+        assert _json(report) == json.dumps(report.to_dict(), indent=2)
 
     # fresh, and after a read of input_spec, which tabulates the shared
     # columns once and keeps them for the writer
@@ -475,9 +477,19 @@ class TestReport:
         _, report = reduce(parse_circuit(GOLDEN))
         if read:
             assert report.output_spec is report.input_spec
-        text = _report_json(report)
+        text = _json(report)
         assert texts == [",\n    "] and tables == [3] * read
         assert text == json.dumps(report.to_dict(), indent=2)
+
+    def test_json_writes_fields_in_declaration_order(self):
+        # stored in reverse field order, as an _assemble with its keywords
+        # out of order stores them: the writer still follows the fields
+        _, report = eliminate_ntris(parse_circuit(GOLDEN))
+        backwards = _assemble(ReductionReport, **dict(reversed(vars(report).items())))
+        vars(backwards)["removals"] = tuple(
+            _assemble(Removal, **dict(reversed(vars(r).items()))) for r in report.removals)
+        assert list(vars(backwards)) != [f.name for f in dataclasses.fields(report)]
+        assert _json(backwards) == _json(report) == json.dumps(report.to_dict(), indent=2)
 
     def test_removal_validation(self):
         with pytest.raises(ValueError):
