@@ -23,8 +23,8 @@ A circuit is a stream of whitespace-separated tokens::
 
 Cost model
 ----------
-Per gate, only C-level work runs: the scan matches a whole run of gate
-tokens between markers as one match; ``str.translate`` deletes its
+Per gate, only C-level work runs: the scan matches a run of up to 1,024
+gate tokens between markers as one match; ``str.translate`` deletes its
 whitespace and reads ``;`` as ``,``, and ``str.split`` at ``)`` with a
 mapped ``str.lstrip`` of ``,`` cuts it into pieces, each one gate's own
 text.  The gates are appended by one mapped lookup keyed by piece, so
@@ -159,14 +159,16 @@ _FIXED_ARITY = {name: k for k, name in enumerate(_NAMES, 1)}
 _ARITY = {**_FIXED_ARITY, "MCT": None}  # None: any number
 _WIRES = frozenset("abcdefghijklmnopqrstuvwxyz")
 
-# After separators, a ``wires:`` header (groups 1-2), a run of gates with the
-# separators after them (3) or one character (4), tried in that order.  No
-# alternative starts with a separator, so each match begins where the last
-# one ended and trailing separators match nothing.  A gate needs ``name(``
-# and a header ``wires:``, so no header hides inside a run.
+# After separators, a ``wires:`` header (groups 1-2), a run of up to 1,024
+# gates with the separators after them (3) or one character (4), tried in
+# that order.  No alternative starts with a separator, so each match begins
+# where the last one ended and trailing separators match nothing.  A gate
+# needs ``name(`` and a header ``wires:``, so no header hides inside a run.
+# The bound caps what ``re`` holds while it matches a run, about 575 bytes
+# per gate; a longer run takes several matches.
 _TOKEN_RE = re.compile(
     r"[\s;]*(?:(wires\s*:([^\n]*))"
-    r"|((?:[A-Za-z][A-Za-z0-9]*\s*\([^()]*\)[\s;]*)+)|([^\s;]))"
+    r"|((?:[A-Za-z][A-Za-z0-9]*\s*\([^()]*\)[\s;]*){1,1024})|([^\s;]))"
 )
 _GATE_RE = re.compile(r"([A-Za-z][A-Za-z0-9]*)\s*\(([^()]*)\)")
 # Deletes the characters that ``str.isspace()`` and the regex ``\s`` know (one
@@ -244,13 +246,14 @@ def parse_circuit(text: str) -> Circuit:
     characters of the text with its comments removed.
 
     One regex scan splits the text into headers, markers and runs of
-    gates.  That scan has checked each run's shape, so once ``_SQUASH``
-    has deleted its whitespace and read ``;`` as ``,``, splitting the run
-    at each ``)`` and dropping leading commas cuts it into pieces, one per
-    gate: its name, ``(`` and its body.  Equal pieces are equal gates,
-    whatever separates them, so the pieces key the memo of built gates,
-    and the run's new distinct pieces are checked and built together by
-    ``_build``.  Whether a token passes ``_check`` depends only on its
+    up to 1,024 gates; a longer run takes several matches.  That scan
+    has checked each run's shape, so once ``_SQUASH`` has deleted its
+    whitespace and read ``;`` as ``,``, splitting the run at each ``)``
+    and dropping leading commas cuts it into pieces, one per gate: its
+    name, ``(`` and its body.  Equal pieces are equal gates, whatever
+    separates them, so the pieces key the memo of built gates, which
+    spans the runs, and the run's new distinct pieces are checked and
+    built together by ``_build``.  Whether a token passes ``_check`` depends only on its
     piece and the header, which precedes every gate.  So when the run
     fails, one scan of its text checks each token whose piece is neither
     built nor checked yet, and raises at the first problem, quoting the

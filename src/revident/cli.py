@@ -3,7 +3,9 @@
 Exit codes: 0 on success, 1 when a check fails (equiv mismatch, bench
 row failure) or stdout is closed before the output is written (a broken
 pipe, as in ``revident gen-random ... | head``), 2 on bad input (parse
-errors, missing files, bad arguments).
+errors, missing files, bad arguments) and on running out of memory, as
+an input too long for the process's memory limit can make it do; that
+prints the one line ``error: out of memory ...`` and no traceback.
 """
 
 from __future__ import annotations
@@ -246,6 +248,10 @@ def main(argv: "list[str] | None" = None) -> int:
         return 2
     except (CliError, CostTableError, GeneratorError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; the input is too large for the memory available",
+              file=sys.stderr)
         return 2
 
 

@@ -37,10 +37,12 @@ fresh list copy of the identity, so a walk never alters the kept one.
 
 The one prefix scan is ``_cuts``, a single loop: each gate is applied
 to the live columns in place, its target column is rehashed, the
-prefix's fingerprint is updated, and an index from fingerprint to the
-kept prefixes that carry it is looked up, the candidate confirmed
-exactly and the caller's stack of kept gates cut back to the hit.  A
-scan thus keeps one live set of columns rather than one per prefix.
+prefix's fingerprint is updated, and the index of kept prefixes is
+looked up, the candidate confirmed exactly and the caller's stack of
+kept gates cut back to the hit.  The index is one dict in stack order:
+a prefix sits at its fingerprint or the first free key above it, a
+lookup walks up through taken keys, and a cut pops the newest entries.
+A scan thus keeps one live set of columns rather than one per prefix.
 A prefix is keyed by ``sum(r_k * hash(col_k))`` with fixed pseudo-random
 multipliers ``r_k`` (Karp-Rabin fingerprinting; the int hash of a column
 is its value mod ``2**61 - 1``), so a gate costs one application and one
@@ -366,15 +368,19 @@ def _cuts(cols: _Columns, gates: Iterable[Gate], kept: list[Gate]) -> Iterator[t
     ``span`` being the gates between them (the new gate last), then cut
     ``kept`` back to ``j``; otherwise push the gate.  Every cut deletes
     an identity, so ``cols`` always holds the kept prefix and the kept
-    prefixes are distinct: the index maps a fingerprint to the stack
-    indices that carry it, at most one candidate confirms, and each
+    prefixes are distinct.  The index is one dict from a key to a stack
+    index, whose insertion order is the stack order: a push stores the
+    new prefix at its fingerprint, or at the first free key above it,
+    and a cut pops the cut prefixes, newest first.  So every key that a
+    kept prefix stepped over stays taken, and a lookup that walks up
+    from the fingerprint through taken keys meets every kept prefix with
+    that fingerprint.  At most one candidate confirms, and each
     confirmation that succeeds simulates gates the cut then deletes."""
     start = _start(len(cols))
     identity, everywhere = start.identity, start.everywhere
     hashes, fp = start.fingerprint()
     hashes = list(hashes)
-    fps = [fp]  # fps[k] is the fingerprint of kept[:k]
-    index: dict[int, list[int]] = {fp: [0]}
+    index = {fp: 0}  # key -> k, for kept[:k]; insertion order is stack order
     for g in gates:
         # _run's gate application, inlined: _run(cols, (g,)) would cost
         # a call and a _start lookup per gate
@@ -386,25 +392,22 @@ def _cuts(cols: _Columns, gates: Iterable[Gate], kept: list[Gate]) -> Iterator[t
         h = _column_hash(col)
         fp += _MULTIPLIERS[t] * (h - hashes[t])
         hashes[t] = h
-        candidates = index.setdefault(fp, [])
-        for j in candidates:
+        key = fp
+        while key in index:
+            j = index[key]
             span = kept[j:]
             span.append(g)
             if tuple(cols) == identity if j == 0 else _spans_identity(list(identity), span):
                 break
+            key += 1
         else:
             kept.append(g)
-            candidates.append(len(kept))
-            fps.append(fp)
+            index[key] = len(kept)  # the first free key at or above fp
             continue
         yield j, span
         del kept[j:]
-        for f in fps[j + 1:]:  # each list ends with its newest index
-            candidates = index[f]
-            candidates.pop()
-            if not candidates:
-                del index[f]
-        del fps[j + 1:]
+        for _ in range(len(index) - 1 - j):  # the cut prefixes, newest first
+            index.popitem()
 
 
 def _first_repeat(c: Circuit, max_width: int) -> "tuple[int, int] | None":

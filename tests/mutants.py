@@ -75,15 +75,20 @@ MUTANTS = [
        "if True:")],
      [_INDEX + "test_constant_fingerprint_matches_restarting_scan"]),
     ("_cuts: index starts empty, so a whole-circuit hit is ignored",
-     [("semantics.py", "index: dict[int, list[int]] = {fp: [0]}",
-       "index: dict[int, list[int]] = {}")],
+     [("semantics.py", "index = {fp: 0}", "index = {}")],
      [_INDEX + "test_first_repeat_matches_bruteforce"]),
+    ("_cuts: the walk stops at the fingerprint's own key, so a prefix pushed past a taken key is missed",
+     [("semantics.py",
+       "if tuple(cols) == identity if j == 0 else _spans_identity(list(identity), span):",
+       "if key == fp and (tuple(cols) == identity if j == 0 else _spans_identity(list(identity), span)):")],
+     [_INDEX + "test_constant_fingerprint_matches_restarting_scan",
+      _INDEX + "test_first_repeat_matches_bruteforce"]),
     ("_cuts: two hashes per gate",
      [("semantics.py", "h = _column_hash(col)\n",
        "h = _column_hash(col) + 0 * _column_hash(col)\n")],
      [_INDEX + "test_work_is_linear_in_gates"]),
     ("_cuts: the index rollback skipped, so cut prefixes stay candidates",
-     [("semantics.py", "for f in fps[j + 1:]:", "for f in ():")],
+     [("semantics.py", "for _ in range(len(index) - 1 - j):", "for _ in range(0):")],
      [_INDEX + "test_cut_prefixes_leave_the_index"]),
     ("_spans_identity: the last column never compared",
      [("semantics.py", "return tuple(_run(cols, gates)) == _start(len(cols)).identity",
@@ -97,6 +102,9 @@ MUTANTS = [
      [("generate.py", "base = max(2, cfg.min_length // 2)", "base = max(1, cfg.min_length // 2)")],
      ["tests/test_generate.py::TestRandomNtri::test_short_minimum_gives_no_trivial_identity",
       "tests/test_generate.py::TestRandomNtri::test_minimum_of_three_is_reached_at_width_3"]),
+    ("_TOKEN_RE: a run of gates matched whole, so the scan holds about 575 bytes per gate",
+     [("circuit.py", "[\\s;]*){1,1024})", "[\\s;]*)+)")],
+     [_PARSE + "test_long_run_parses_in_bounded_memory"]),
     ("parse_circuit: the commas that \";\" separators leave kept in front of a piece",
      [("circuit.py", 'repeat(","))]', 'repeat(""))]')],
      [_PARSE + "test_equal_gates_are_one_object_whatever_separates_them"]),

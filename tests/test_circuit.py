@@ -328,6 +328,41 @@ class TestParse:
         assert len(c) == 10000
         assert c.gates[0] is c.gates[2] and c.gates[1] is c.gates[3]
 
+    # the separators of the CI's mixed-separator file
+    @pytest.mark.parametrize("sep", [" ", "\t", "\r\n", ";", " ;\t", "", "\n// a comment\n", ";;\r\n"],
+                             ids=repr)
+    def test_runs_past_one_match_match_reference_parser(self, sep):
+        # _TOKEN_RE matches at most 1,024 gates at a time, so a longer run
+        # is several matches.  Each token put at or next to the first two
+        # boundaries gives the reference parser's result: a bad gate, a
+        # marker, a late header, a stray character, or a gate on a wire
+        # first seen there.  The memo of built gates spans the matches.
+        tokens = [_OPENERS[i % 4] + ("a)", "a, b)", "b, c, a)", "c, d, b, a)")[i % 4]
+                  for i in range(2052)]
+        for at in (1022, 1023, 1024, 1025, 2047, 2048, 2049):
+            for odd in ("CNOT(b, b)", "FOO(a)", "#", "[", "]", "wires: a b c d", "?", "NOT(e)"):
+                text = sep.join([*tokens[:at], odd, *tokens[at:]]) + sep
+                outcome = _parse_outcome(parse_circuit, text)
+                assert outcome == _parse_outcome(parse_reference, text), (at, odd)
+                if not isinstance(outcome, str):
+                    gates = outcome[0].gates
+                    assert len({id(g) for g in gates}) == len(set(gates)) <= 5
+
+    def test_long_run_parses_in_bounded_memory(self):
+        # a run is matched 1,024 gates at a time: a run matched whole makes
+        # the regex scan hold about 575 bytes per gate while it matches
+        tokens = [f"TOF({a}, {b}, {c})" for a in "abcdefghij" for b in "abcdefghij"
+                  for c in "abcdefghij" if len({a, b, c}) == 3]
+        text = " ".join(tokens * 139)
+        tracemalloc.start()
+        try:
+            c = parse_circuit(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(c) == 100_080 and c.width == 10
+        assert peak < 64 * len(c)
+
 
 class TestFormat:
     def test_gate_tokens(self):

@@ -583,3 +583,18 @@ def test_broken_pipe_without_stdout_descriptor(monkeypatch, capsys):
 
     monkeypatch.setattr("revident.cli.format_circuit", closed_pipe)
     assert main(["gen-random", "--width", "4", "--gates", "3"]) == 1
+
+
+@pytest.mark.parametrize("where", ["parse_circuit", "eliminate_ntris", "format_circuit"])
+def test_out_of_memory_exits_2_with_one_line(rev, capsys, monkeypatch, where):
+    # a stand-in for an input too long for the process's memory limit:
+    # the layer raises MemoryError without allocating anything
+    def exhausted(*_args, **_kwargs):
+        raise MemoryError
+
+    path = rev("c.rev", "NOT(a) CNOT(a, b)")
+    monkeypatch.setattr(f"revident.cli.{where}", exhausted)
+    assert main(["reduce", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory; the input is too large for the memory available\n"

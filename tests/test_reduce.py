@@ -351,6 +351,22 @@ class TestFingerprintIndex:
         assert len(out) <= len(c)
         assert peak < 1 << 20
 
+    def test_scan_peak_memory_per_gate(self):
+        # the scan keeps the stack of kept gates and one index entry per
+        # kept prefix, about 150 bytes per gate; a list of stack indices
+        # per fingerprint would take about 234
+        c, _ = eliminate_ntris(gen_random_circuit(GeneratorConfig(width=10, gates=50_000, seed=5)))
+        assert len(c) > 49_000
+        kept = []
+        tracemalloc.start()
+        try:
+            cuts = list(semantics._cuts(semantics._identity_columns(10, 16), c.gates, kept))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cuts == [] and kept == list(c.gates)
+        assert peak < 200 * len(c)
+
 
 class TestReport:
     def test_report_dict_shape(self):
