@@ -3,9 +3,10 @@
 Exit codes: 0 on success, 1 when a check fails (equiv mismatch, bench
 row failure) or stdout is closed before the output is written (a broken
 pipe, as in ``revident gen-random ... | head``), 2 on bad input (parse
-errors, missing files, bad arguments) and on running out of memory, as
-an input too long for the process's memory limit can make it do; that
-prints the one line ``error: out of memory ...`` and no traceback.
+errors, missing files, bad arguments, a circuit above the width cap) and
+on running out of memory, as an input too long for the process's memory
+limit can make it do.  Exit 2 prints one line, ``error: `` and the
+library's message (``out of memory ...`` for memory), and no traceback.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .circuit import ParseError, _wire_names, concat, format_circuit, insert_seg
 from .cost import CostTableError, DEFAULT_COST_TABLE, circuit_cost, gate_count, load_cost_table
 from .generate import GeneratorConfig, GeneratorError, gen_random_circuit, gen_random_ntri
 from .reduce import _json, eliminate_ntris, remove_trivial_identities
-from .semantics import DEFAULT_WIDTH_CAP, WidthCapExceeded, _columns, _spec_text, equivalent
+from .semantics import _columns, _spec_text, equivalent
 
 
 class CliError(Exception):
@@ -49,7 +50,7 @@ def _cost_table(path: "str | None"):
 
 def _cmd_simulate(args) -> int:
     c = _read_circuit(args.file)
-    print("[", _spec_text(_columns(c, DEFAULT_WIDTH_CAP)), "]", sep="")
+    print("[", _spec_text(_columns(c)), "]", sep="")
     return 0
 
 
@@ -240,12 +241,6 @@ def main(argv: "list[str] | None" = None) -> int:
     except BrokenPipeError:
         _discard_stdout()
         return 1
-    except WidthCapExceeded as e:
-        # The library's text advises a keyword argument, which no command
-        # line can pass, and names a table, which not every command builds.
-        print(f"error: width {e.width} is too wide; revident handles at most "
-              f"{DEFAULT_WIDTH_CAP} wires", file=sys.stderr)
-        return 2
     except (CliError, CostTableError, GeneratorError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 from .circuit import Circuit, Gate
 from .semantics import (
-    DEFAULT_WIDTH_CAP,
     Specification,
-    _columns,
     _first_repeat,
     _identity_columns,
+    _run,
     _slice,
     _synthesize,
     is_permutation,
@@ -45,15 +44,15 @@ class GeneratorError(RuntimeError):
 class GeneratorConfig:
     """Knobs for the two generators; each reads only some of them.
 
-    ``gen_random_circuit`` reads ``gates``, its exact length, and
-    ``forbid_adjacent_duplicates``.  ``gen_random_ntri`` reads
-    ``min_length``, the minimum NTRI length (four gates at least,
-    whatever it asks), and ``max_attempts``; it
-    always forbids adjacent duplicates, because an adjacent equal pair
-    is an interior identity and would always be rejected.  Both read
-    ``width``, ``seed`` and ``max_controls``, which defaults to the
+    ``gen_random_circuit`` reads ``gates``, its exact length.
+    ``gen_random_ntri`` reads ``min_length``, the minimum NTRI length
+    (four gates at least, whatever it asks), and ``max_attempts``.  Both
+    read ``width``, ``seed`` and ``max_controls``, which defaults to the
     smaller of 3 and width-1 so every sampled gate fits both the wire
-    count and the default cost table.
+    count and the default cost table.  Neither ever draws a gate equal
+    to its left neighbour: an adjacent equal pair is an identity that
+    the trivial pass removes, and in an NTRI's random half an interior
+    identity that would always be rejected.
     """
 
     width: int
@@ -61,7 +60,6 @@ class GeneratorConfig:
     min_length: int = 0
     max_controls: int | None = None
     seed: int = 0
-    forbid_adjacent_duplicates: bool = True
     max_attempts: int = 1000
 
     def __post_init__(self) -> None:
@@ -75,16 +73,14 @@ class GeneratorConfig:
             raise ValueError(f"max_controls {self.max_controls} outside 0..{self.width - 1}")
 
 
-def _random_gates(
-    rng: random.Random, width: int, count: int, max_controls: int, forbid_adjacent: bool
-) -> list[Gate]:
+def _random_gates(rng: random.Random, width: int, count: int, max_controls: int) -> list[Gate]:
     gates: list[Gate] = []
     for _ in range(count):
         while True:
             k = rng.randint(0, max_controls)
             wires = rng.sample(range(width), k + 1)
             g = Gate(frozenset(wires[:-1]), wires[-1])
-            if not (forbid_adjacent and gates and g == gates[-1]):
+            if not (gates and g == gates[-1]):
                 break
         gates.append(g)
     return gates
@@ -93,14 +89,12 @@ def _random_gates(
 def gen_random_circuit(cfg: GeneratorConfig) -> Circuit:
     """A uniformly sampled circuit of exactly ``cfg.gates`` gates.
 
-    Each gate draws a control count 0..max_controls, then distinct wires.
-    With ``forbid_adjacent_duplicates`` (the default) a gate equal to its
-    left neighbour is re-drawn.  Deterministic for a given config.
+    Each gate draws a control count 0..max_controls, then distinct wires;
+    a gate equal to its left neighbour is re-drawn.  Deterministic for a
+    given config.
     """
     rng = random.Random(cfg.seed)
-    gates = _random_gates(
-        rng, cfg.width, cfg.gates, cfg.max_controls, cfg.forbid_adjacent_duplicates
-    )
+    gates = _random_gates(rng, cfg.width, cfg.gates, cfg.max_controls)
     return Circuit(cfg.width, tuple(gates))
 
 
@@ -110,7 +104,7 @@ def synthesize_inverse(spec: Specification, width: int) -> Circuit:
     application order, so the returned circuit maps ``spec`` back to the
     identity.
 
-    Unlike the walks that take ``max_width``, it has no width cap: the
+    It takes a table of any width, above ``DEFAULT_WIDTH_CAP`` too: the
     caller has already built the ``2**width``-entry ``spec``.
     """
     if len(spec) != 1 << width or not is_permutation(spec):
@@ -118,10 +112,10 @@ def synthesize_inverse(spec: Specification, width: int) -> Circuit:
     return Circuit(width, tuple(_synthesize(_slice(spec))))
 
 
-def is_interior_irreducible(c: Circuit, *, max_width: int = DEFAULT_WIDTH_CAP) -> bool:
+def is_interior_irreducible(c: Circuit) -> bool:
     """True when the only equal prefix-specification pair is the pair of
     endpoints (an identity circuit the eliminator can only remove whole)."""
-    return _first_repeat(c, max_width) in (None, (0, len(c.gates)))
+    return _first_repeat(c) in (None, (0, len(c.gates)))
 
 
 def gen_random_ntri(cfg: GeneratorConfig) -> Circuit:
@@ -137,13 +131,13 @@ def gen_random_ntri(cfg: GeneratorConfig) -> Circuit:
     rejections.  Synthesized gates may use more controls than
     ``max_controls``, which only bounds the random half.
     """
-    _identity_columns(cfg.width, DEFAULT_WIDTH_CAP)  # refuse the width before any gate is drawn
+    _identity_columns(cfg.width)  # refuse the width before any gate is drawn
     rng = random.Random(cfg.seed)
     base = max(2, cfg.min_length // 2)
     for attempt in range(cfg.max_attempts):
         count = base + attempt // 100
-        gates = _random_gates(rng, cfg.width, count, cfg.max_controls, True)
-        gates += _synthesize(_columns(Circuit._of(cfg.width, tuple(gates)), DEFAULT_WIDTH_CAP))
+        gates = _random_gates(rng, cfg.width, count, cfg.max_controls)
+        gates += _synthesize(_run(_identity_columns(cfg.width), gates))
         whole = Circuit(cfg.width, tuple(gates))
         if len(whole.gates) >= cfg.min_length and is_interior_irreducible(whole):
             return whole

@@ -37,8 +37,8 @@ from dataclasses import asdict, dataclass, field, fields
 from .circuit import Circuit, Gate, _assemble
 from .cost import DEFAULT_COST_TABLE, _sum_costs
 from .semantics import (
-    DEFAULT_WIDTH_CAP,
     Specification,
+    WidthCapExceeded,
     _columns,
     _cuts,
     _first_repeat,
@@ -245,19 +245,17 @@ def _report(
 
 
 def remove_trivial_identities(
-    c: Circuit,
-    table: Mapping[int, int] = DEFAULT_COST_TABLE,
-    *,
-    max_width: int = DEFAULT_WIDTH_CAP,
+    c: Circuit, table: Mapping[int, int] = DEFAULT_COST_TABLE
 ) -> tuple[Circuit, ReductionReport]:
     """Cancel adjacent identical gate pairs until none remain.
 
     Deleting a pair can make its neighbours adjacent; the stack scan
     handles that in one linear sweep, and the result does not depend on
-    deletion order.  Specifications are filled in only when the width
-    fits the cap; cancelling pairs keeps the specification, so the input
-    is simulated once and the output shares its specification, built
-    from the final columns when read.
+    deletion order.  It needs no table, so it reduces at any width; above
+    ``DEFAULT_WIDTH_CAP`` the report's specifications are None.
+    Cancelling pairs keeps the specification, so the input is simulated
+    once and the output shares its specification, built from the final
+    columns when read.
     """
     stack: list[Gate] = []
     removals: list[Removal] = []
@@ -271,15 +269,15 @@ def remove_trivial_identities(
             stack.pop()
         else:
             stack.append(g)
-    spec = _FinalColumns(_columns(c, max_width)) if c.width <= max_width else None
+    try:
+        spec = _FinalColumns(_columns(c))
+    except WidthCapExceeded:
+        spec = None
     return _report(c, stack, 1, removals, comparisons, table, spec)
 
 
 def eliminate_ntris(
-    c: Circuit,
-    table: Mapping[int, int] = DEFAULT_COST_TABLE,
-    *,
-    max_width: int = DEFAULT_WIDTH_CAP,
+    c: Circuit, table: Mapping[int, int] = DEFAULT_COST_TABLE
 ) -> tuple[Circuit, ReductionReport]:
     """Remove every identity segment, in the paper's order.
 
@@ -293,7 +291,7 @@ def eliminate_ntris(
     gate applications across the confirmations that succeed.  The
     report's specifications are built from the final columns only when
     read."""
-    cols = _identity_columns(c.width, max_width)
+    cols = _identity_columns(c.width)
     kept: list[Gate] = []
     removals = [Removal(j, j + len(span), len(span), _maybe_cost(span, table))
                 for j, span in _cuts(cols, c.gates, kept)]
@@ -305,7 +303,7 @@ def eliminate_ntris(
 eliminate_ntris_fast = eliminate_ntris
 
 
-def is_irreducible(c: Circuit, *, max_width: int = DEFAULT_WIDTH_CAP) -> bool:
+def is_irreducible(c: Circuit) -> bool:
     """True when no two prefix specifications coincide, i.e. the
     eliminators would leave ``c`` unchanged."""
-    return _first_repeat(c, max_width) is None
+    return _first_repeat(c) is None

@@ -19,12 +19,12 @@ boundaries turn each eight columns into one byte plane with one 8x8 bit
 transpose, ``_transpose``: the columns' bytes are interleaved into
 64-bit lanes and three delta-swaps run on the whole int.  The transpose
 is its own inverse, so ``_slice``, ``_table``'s inverse, takes its
-columns from the entry planes with it too.  Widths above
-``DEFAULT_WIDTH_CAP`` are rejected unless the caller raises
-``max_width``, before anything is built.  ``_synthesize``, the inverse
-synthesis behind ``generate``, works on columns too: a random half's, or
-``_slice`` of the table that ``synthesize_inverse`` takes with no width
-cap, since its caller built the table.
+columns from the entry planes with it too.  ``DEFAULT_WIDTH_CAP`` is the
+one width cap, with no per-call override, and ``_identity_columns``, where
+every walk starts, checks it before anything is built.  ``_synthesize``,
+the inverse synthesis behind ``generate``, works on columns too: a random
+half's, or ``_slice`` of the table that ``synthesize_inverse`` takes at
+any width, since its caller built the table.
 
 No specification is kept between calls.  What depends only on the width
 is built by ``_start`` on first use and kept for the process, one
@@ -88,8 +88,9 @@ DEFAULT_WIDTH_CAP = 16
 
 
 class WidthCapExceeded(ValueError):
-    """Raised when a specification table would exceed the width cap;
-    ``width`` is the width that was refused."""
+    """Raised by every walk over a circuit wider than
+    ``DEFAULT_WIDTH_CAP``; its text is the one line the command line
+    prints after ``error: ``."""
 
 
 def identity_spec(width: int) -> Specification:
@@ -165,15 +166,13 @@ class _Start:
 _start = cache(_Start)
 
 
-def _identity_columns(width: int, max_width: int) -> _Columns:
+def _identity_columns(width: int) -> _Columns:
     """A fresh list of the bit-sliced identity's columns on ``width``
-    wires; every walk over a circuit starts here.  The width is checked
-    before anything is built or kept."""
-    if width > max_width:
-        e = WidthCapExceeded(f"width {width} needs a table of 2**{width} entries; "
-                             f"pass max_width={width} to allow it")
-        e.width = width
-        raise e
+    wires; every walk over a circuit starts here, so this is the one
+    place the width cap is checked, before anything is built or kept."""
+    if width > DEFAULT_WIDTH_CAP:
+        raise WidthCapExceeded(f"width {width} is too wide; revident handles at most "
+                               f"{DEFAULT_WIDTH_CAP} wires")
     return list(_start(width).identity)
 
 
@@ -338,24 +337,24 @@ def _spec_text(cols: _Columns, sep: str = ",") -> str:
     return text.translate(None, b"\x10").decode("ascii")
 
 
-def gate_permutation(gate: Gate, width: int, *, max_width: int = DEFAULT_WIDTH_CAP) -> Specification:
+def gate_permutation(gate: Gate, width: int) -> Specification:
     """Specification of a single gate: flip the target bit of every
     pattern whose control bits are all 1."""
-    return simulate(Circuit(width, (gate,)), max_width=max_width)
+    return simulate(Circuit(width, (gate,)))
 
 
-def simulate(c: Circuit, *, max_width: int = DEFAULT_WIDTH_CAP) -> Specification:
+def simulate(c: Circuit) -> Specification:
     """The specification computed by the whole circuit.
 
     Gates apply left to right: the image of ``x`` is the last gate's
     permutation applied to ... applied to the first gate's.
     """
-    return _table(_columns(c, max_width))
+    return _table(_columns(c))
 
 
-def _columns(c: Circuit, max_width: int) -> _Columns:
+def _columns(c: Circuit) -> _Columns:
     """The columns of the whole circuit."""
-    return _run(_identity_columns(c.width, max_width), c.gates)
+    return _run(_identity_columns(c.width), c.gates)
 
 
 def _cuts(cols: _Columns, gates: Iterable[Gate], kept: list[Gate]) -> Iterator[tuple[int, list[Gate]]]:
@@ -410,22 +409,22 @@ def _cuts(cols: _Columns, gates: Iterable[Gate], kept: list[Gate]) -> Iterator[t
             index.popitem()
 
 
-def _first_repeat(c: Circuit, max_width: int) -> "tuple[int, int] | None":
+def _first_repeat(c: Circuit) -> "tuple[int, int] | None":
     """The first pair ``(j, i)``, ``j < i``, of equal prefix specifications,
     smallest ``i`` first, or None when all ``len(c) + 1`` prefixes are
     distinct: the scan's first cut, where the scan stops.  Before it the
     kept gates are the input's, so the cut's span is ``c.gates[j:i]``."""
-    for j, span in _cuts(_identity_columns(c.width, max_width), c.gates, []):
+    for j, span in _cuts(_identity_columns(c.width), c.gates, []):
         return j, j + len(span)
     return None
 
 
-def is_identity(c: Circuit, *, max_width: int = DEFAULT_WIDTH_CAP) -> bool:
-    return _spans_identity(_identity_columns(c.width, max_width), c.gates)
+def is_identity(c: Circuit) -> bool:
+    return _spans_identity(_identity_columns(c.width), c.gates)
 
 
-def equivalent(a: Circuit, b: Circuit, *, max_width: int = DEFAULT_WIDTH_CAP) -> bool:
+def equivalent(a: Circuit, b: Circuit) -> bool:
     if a.width != b.width:
         raise WidthMismatchError(f"widths differ: {a.width} vs {b.width}")
     # a and b agree iff a followed by b's inverse, b reversed, is the identity
-    return _spans_identity(_identity_columns(a.width, max_width), a.gates + b.gates[::-1])
+    return _spans_identity(_identity_columns(a.width), a.gates + b.gates[::-1])

@@ -363,8 +363,9 @@ def all_gates(width: int, max_controls: int = 3):
 if st is not None:
 
     @st.composite
-    def circuits(draw, max_width: int = 5, max_gates: int = 12, max_controls: int = 3):
-        width = draw(st.integers(min_value=1, max_value=max_width))
+    def circuits(draw, max_width: int = 5, max_gates: int = 12, max_controls: int = 3,
+                 min_width: int = 1):
+        width = draw(st.integers(min_value=min_width, max_value=max_width))
         gates = []
         for _ in range(draw(st.integers(min_value=0, max_value=max_gates))):
             target = draw(st.integers(min_value=0, max_value=width - 1))

@@ -90,6 +90,9 @@ MUTANTS = [
     ("_cuts: the index rollback skipped, so cut prefixes stay candidates",
      [("semantics.py", "for _ in range(len(index) - 1 - j):", "for _ in range(0):")],
      [_INDEX + "test_cut_prefixes_leave_the_index"]),
+    ("_identity_columns: a circuit at the width cap refused",
+     [("semantics.py", "if width > DEFAULT_WIDTH_CAP:", "if width >= DEFAULT_WIDTH_CAP:")],
+     ["tests/test_semantics.py::test_width_cap_is_one_constant_with_no_override[simulate]"]),
     ("_spans_identity: the last column never compared",
      [("semantics.py", "return tuple(_run(cols, gates)) == _start(len(cols)).identity",
        "return tuple(_run(cols, gates))[:-1] == _start(len(cols)).identity[:-1]")],
@@ -98,6 +101,9 @@ MUTANTS = [
      [("semantics.py", "gates += [Gate(x_controls, b) for b in _bits(y & ~x)]",
        "gates += [Gate(frozenset(_bits(y & ~(1 << b))), b) for b in _bits(y & ~x)]")],
      ["tests/test_generate.py::TestSynthesisMatchesListVersion"]),
+    ("_random_gates: a gate equal to its left neighbour kept",
+     [("generate.py", "if not (gates and g == gates[-1]):", "if True:")],
+     ["tests/test_generate.py::TestRandomCircuit::test_adjacent_duplicates_forbidden_by_default"]),
     ("gen_random_ntri: a one-gate random half, whose inverse is that same gate",
      [("generate.py", "base = max(2, cfg.min_length // 2)", "base = max(1, cfg.min_length // 2)")],
      ["tests/test_generate.py::TestRandomNtri::test_short_minimum_gives_no_trivial_identity",

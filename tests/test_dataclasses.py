@@ -44,10 +44,9 @@ CLASSES = [
      "cost=2),), input_gates=2, output_gates=0, input_cost=2, output_cost=0, "
      "input_spec=(0, 1, 2, 3), output_spec=(0, 1, 2, 3), comparisons=2)"),
     (GeneratorConfig, lambda: GeneratorConfig(width=4),
-     ("width", "gates", "min_length", "max_controls", "seed", "forbid_adjacent_duplicates",
-      "max_attempts"),
+     ("width", "gates", "min_length", "max_controls", "seed", "max_attempts"),
      "GeneratorConfig(width=4, gates=0, min_length=0, max_controls=3, seed=0, "
-     "forbid_adjacent_duplicates=True, max_attempts=1000)"),
+     "max_attempts=1000)"),
     (Table1Row, lambda: Table1Row("4_49", "app1_1a", "app1_1b", 6, (12, 32), (19, 61), (19, 61)),
      ("benchmark", "host_id", "segment_id", "printed_insertion_point", "printed_optimal",
       "printed_bugged", "printed_optimized"),

@@ -68,12 +68,6 @@ class TestRandomCircuit:
             c = gen_random_circuit(GeneratorConfig(width=3, gates=40, seed=seed))
             assert all(c.gates[i] != c.gates[i + 1] for i in range(len(c) - 1))
 
-    def test_adjacent_duplicates_allowed_when_asked(self):
-        c = gen_random_circuit(
-            GeneratorConfig(width=3, gates=30, seed=0, forbid_adjacent_duplicates=False)
-        )
-        assert any(c.gates[i] == c.gates[i + 1] for i in range(len(c) - 1))
-
     def test_zero_gates(self):
         assert gen_random_circuit(GeneratorConfig(width=4, gates=0)) == Circuit.empty(4)
 
@@ -130,8 +124,8 @@ class TestSynthesisMatchesListVersion:
     def test_random_halves(self, width, gates, seeds):
         for seed in range(seeds):
             rng = random.Random(seed)
-            half = Circuit(width, tuple(_random_gates(rng, width, gates, min(3, width - 1), True)))
-            cols = _columns(half, 16)
+            half = Circuit(width, tuple(_random_gates(rng, width, gates, min(3, width - 1))))
+            cols = _columns(half)
             expected = synthesize_inverse_reference(simulate(half), width)
             assert tuple(_synthesize(cols)) == expected.gates
             assert is_identity(Circuit(width, half.gates + expected.gates))

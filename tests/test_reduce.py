@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import functools
 import json
 import pickle
 import random
@@ -111,6 +110,8 @@ class TestTrivialPass:
         out, report = remove_trivial_identities(c)
         assert out.gates == ()
         assert report.input_spec is None and report.output_spec is None
+        with pytest.raises(TypeError):
+            remove_trivial_identities(c, max_width=20)
 
 
 class TestEliminate:
@@ -291,12 +292,12 @@ class TestFingerprintIndex:
         if constant:
             monkeypatch.setattr(semantics, "_column_hash", lambda col: 0)
         for c in [*_reference_cases(), *_late_hit_cases(), *ntris]:
-            hit = _first_repeat(c, 16)
+            hit = _first_repeat(c)
             assert hit == first_hit(list(c.gates), c.width)
             removals = eliminate_ntris(c)[1].removals
             assert hit == ((removals[0].start_gap, removals[0].end_index) if removals else None)
         for c in ntris:
-            assert _first_repeat(c, 16) == (0, len(c.gates))
+            assert _first_repeat(c) == (0, len(c.gates))
             assert is_interior_irreducible(c)
 
     def test_work_is_linear_in_gates(self, monkeypatch):
@@ -360,7 +361,7 @@ class TestFingerprintIndex:
         kept = []
         tracemalloc.start()
         try:
-            cuts = list(semantics._cuts(semantics._identity_columns(10, 16), c.gates, kept))
+            cuts = list(semantics._cuts(semantics._identity_columns(10), c.gates, kept))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -456,16 +457,18 @@ class TestReport:
         assert report.output_cost == _maybe_cost(out.gates, table)
 
     # the report bytes against the json module's encoder, for both
-    # reducers, with specifications None (the trivial pass over its cap)
-    # and costs None (no 3-control entry), fresh and after a read of
-    # input_spec, which stores the tuple in both fields
-    @given(circuits(max_width=8, max_gates=14, max_controls=3), st.integers(0, 14),
-           st.sampled_from([DEFAULT_COST_TABLE, {0: 1, 1: 1, 2: 5}]),
-           st.sampled_from([eliminate_ntris, remove_trivial_identities,
-                            functools.partial(remove_trivial_identities, max_width=0)]),
+    # reducers, with specifications None (the trivial pass at widths 17-26,
+    # above the cap) and costs None (no 3-control entry), fresh and after a
+    # read of input_spec, which stores the tuple in both fields
+    @given(st.one_of(st.tuples(circuits(max_width=8, max_gates=14, max_controls=3),
+                               st.sampled_from([eliminate_ntris, remove_trivial_identities])),
+                     st.tuples(circuits(min_width=17, max_width=26, max_gates=14, max_controls=3),
+                               st.just(remove_trivial_identities))),
+           st.integers(0, 14), st.sampled_from([DEFAULT_COST_TABLE, {0: 1, 1: 1, 2: 5}]),
            st.booleans())
     @settings(max_examples=300)
-    def test_report_json_matches_encoder(self, c, k, table, reduce, read):
+    def test_report_json_matches_encoder(self, case, k, table, read):
+        c, reduce = case
         c = Circuit(c.width, c.gates + c.gates[::-1][:k])
         _, report = reduce(c, table)
         if read:
@@ -539,7 +542,7 @@ class TestJsonWriter:
     @given(circuits(max_width=8, max_gates=10))
     @settings(max_examples=100)
     def test_final_columns_match_encoder_of_their_table(self, c):
-        cols = _FinalColumns(_columns(c, 8))
+        cols = _FinalColumns(_columns(c))
         table = list(_table(cols))
         assert _json({"a": [cols], "b": cols}) == json.dumps({"a": [table], "b": table}, indent=2)
 

@@ -16,18 +16,24 @@ import pytest
 from hypothesis import given, settings
 
 from revident import (
+    DEFAULT_WIDTH_CAP,
     Circuit,
+    GeneratorConfig,
     WidthCapExceeded,
     WidthMismatchError,
     concat,
     eliminate_ntris,
+    eliminate_ntris_fast,
     equivalent,
     format_spec,
     gate_permutation,
+    gen_random_ntri,
     identity_spec,
     invert_spec,
     inverse,
     is_identity,
+    is_interior_irreducible,
+    is_irreducible,
     is_permutation,
     mct,
     parse_circuit,
@@ -35,7 +41,7 @@ from revident import (
 )
 
 from revident import semantics
-from revident.semantics import _columns, _identity_columns, _slice, _spec_text, _start, _table
+from revident.semantics import _columns, _identity_columns, _run, _slice, _spec_text, _start, _table
 
 from helpers import all_gates, circuits, prefix_trace, random_circuit, simulate_bruteforce, table_reference
 
@@ -88,6 +94,12 @@ def test_simulate_matches_bruteforce_oracle():
         assert simulate(c) == simulate_bruteforce(c)
 
 
+def _uncapped_columns(c):
+    # _columns without the width cap, for the boundaries at width 17: the
+    # third byte plane and the sixth digit, which synthesize_inverse reaches
+    return _run(list(_start(c.width).identity), c.gates)
+
+
 @pytest.mark.parametrize("width", [7, 8, 9, 15, 16, 17])
 def test_simulate_matches_bruteforce_across_byte_planes(width):
     # Eight wires share a byte plane of the unpacked table; wires 7, 8, 15
@@ -95,7 +107,7 @@ def test_simulate_matches_bruteforce_across_byte_planes(width):
     rng = random.Random(width)
     edges = (mct({0}, width - 1), mct({width - 1}, width // 2), mct((), width - 2))
     c = Circuit(width, random_circuit(rng, width, 4).gates + edges)
-    assert simulate(c, max_width=17) == simulate_bruteforce(c)
+    assert _table(_uncapped_columns(c)) == simulate_bruteforce(c)
 
 
 @pytest.mark.parametrize("width", range(1, 18))
@@ -108,7 +120,7 @@ def test_spec_text_matches_formatted_table(width):
     cases = [Circuit(width, ())] + [Circuit(width, (g,)) for g in singles]
     cases += [random_circuit(rng, width, 2 * width) for _ in range(3)]
     for c in cases:
-        cols = _columns(c, 17)
+        cols = _uncapped_columns(c)
         assert "[" + _spec_text(cols) + "]" == format_spec(_table(cols))
         nested = json.dumps(list(_table(cols)), indent=2).replace("\n", "\n  ")
         assert "[\n    " + _spec_text(cols, ",\n    ") + "\n  ]" == nested
@@ -121,12 +133,12 @@ def _boundary_cases(width):
     # the first and last bit of a plane, in every row of a lane
     size = 1 << width
     first, last = 1, 1 << (size - 1)
-    yield _identity_columns(width, 17)
+    yield list(_start(width).identity)
     yield [0] * width
     yield [(1 << size) - 1] * width
     yield [(first, last)[k % 2] for k in range(width)]
     yield [(last, first)[k % 2] for k in range(width)]
-    yield _columns(random_circuit(random.Random(width), width, 2 * width), 17)
+    yield _uncapped_columns(random_circuit(random.Random(width), width, 2 * width))
 
 
 @pytest.mark.parametrize("width", range(1, 18))
@@ -144,7 +156,7 @@ def test_boundaries_match_column_at_a_time_reference(width):
 
 def test_spec_text_peak_memory_at_width_16():
     # the formatted table peaks at about 6.5 MB: 65,536 ints and strings
-    cols = _columns(random_circuit(random.Random(16), 16, 40), 16)
+    cols = _columns(random_circuit(random.Random(16), 16, 40))
     tracemalloc.start()
     try:
         text = _spec_text(cols)
@@ -178,26 +190,26 @@ def _identity_from_scratch(width):
 
 @pytest.mark.parametrize("width", range(1, 17))
 def test_identity_columns_match_a_fresh_build(width):
-    assert _identity_columns(width, 16) == _identity_from_scratch(width)
+    assert _identity_columns(width) == _identity_from_scratch(width)
     assert _start(width).identity == tuple(_identity_from_scratch(width))
 
 
 def test_identity_columns_are_a_fresh_list_each_call():
-    cols = _identity_columns(5, 16)
+    cols = _identity_columns(5)
     cols[0] ^= 1
     cols.append(0)
-    assert _identity_columns(5, 16) == _identity_from_scratch(5)
+    assert _identity_columns(5) == _identity_from_scratch(5)
     # walks take the columns in place and leave the kept identity alone
     c = random_circuit(random.Random(5), 5, 12)
     assert simulate(c) == simulate_bruteforce(c)
     assert not is_identity(c) and is_identity(concat(c, inverse(c)))
-    assert _identity_columns(5, 16) == _identity_from_scratch(5)
+    assert _identity_columns(5) == _identity_from_scratch(5)
 
 
 def test_width_above_cap_raises_and_keeps_nothing():
     _start.cache_clear()
-    with pytest.raises(WidthCapExceeded, match="pass max_width=17"):
-        _identity_columns(17, 16)
+    with pytest.raises(WidthCapExceeded, match="width 17 is too wide"):
+        _identity_columns(17)
     assert _start.cache_info().currsize == 0
 
 
@@ -304,7 +316,7 @@ def test_identity_and_equivalence_compare_columns(monkeypatch):
     assert not is_identity(c)
     assert equivalent(c, c)
     assert not equivalent(c, Circuit(16, c.gates[1:]))
-    with pytest.raises(WidthCapExceeded, match="pass max_width=17"):
+    with pytest.raises(WidthCapExceeded, match="width 17 is too wide"):
         is_identity(Circuit(17, ()))
 
 
@@ -313,13 +325,35 @@ def test_equivalent_width_mismatch():
         equivalent(parse_circuit("NOT(a)"), parse_circuit("CNOT(a, b)"))
 
 
-def test_width_cap_enforced_and_overridable():
-    big = Circuit(17, (mct({0}, 16),))
-    with pytest.raises(WidthCapExceeded):
-        simulate(big)
-    spec = simulate(big, max_width=17)
-    assert len(spec) == 1 << 17
-    assert spec[1] == (1 << 16) | 1
+def _one_gate(width):
+    return Circuit(width, (mct({0}, width - 1),))
+
+
+# Every public walk over a circuit, on one gate of the given width; each
+# takes the keyword arguments it is given, so a removed option is a TypeError.
+_CAPPED_WALKS = {
+    "gate_permutation": lambda w, **kw: gate_permutation(mct({0}, w - 1), w, **kw),
+    "simulate": lambda w, **kw: simulate(_one_gate(w), **kw),
+    "is_identity": lambda w, **kw: is_identity(_one_gate(w), **kw),
+    "equivalent": lambda w, **kw: equivalent(_one_gate(w), _one_gate(w), **kw),
+    "eliminate_ntris": lambda w, **kw: eliminate_ntris(_one_gate(w), **kw),
+    "eliminate_ntris_fast": lambda w, **kw: eliminate_ntris_fast(_one_gate(w), **kw),
+    "is_irreducible": lambda w, **kw: is_irreducible(_one_gate(w), **kw),
+    "is_interior_irreducible": lambda w, **kw: is_interior_irreducible(_one_gate(w), **kw),
+    "gen_random_ntri": lambda w, **kw: gen_random_ntri(
+        GeneratorConfig(width=w, min_length=4, seed=1, max_attempts=3), **kw),
+}
+
+
+@pytest.mark.parametrize("walk", _CAPPED_WALKS.values(), ids=_CAPPED_WALKS)
+def test_width_cap_is_one_constant_with_no_override(walk):
+    # the message is the line the command line prints after "error: "
+    with pytest.raises(WidthCapExceeded) as refused:
+        walk(DEFAULT_WIDTH_CAP + 1)
+    assert str(refused.value) == "width 17 is too wide; revident handles at most 16 wires"
+    walk(DEFAULT_WIDTH_CAP)
+    with pytest.raises(TypeError):
+        walk(DEFAULT_WIDTH_CAP, max_width=DEFAULT_WIDTH_CAP + 1)
 
 
 def test_invert_spec_round_trip():
