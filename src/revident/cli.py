@@ -23,20 +23,16 @@ from .reduce import _json, eliminate_ntris, remove_trivial_identities
 from .semantics import _columns, _spec_text, equivalent
 
 
-class CliError(Exception):
-    pass
-
-
 def _read_circuit(path: str):
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
     except (OSError, UnicodeDecodeError) as e:
-        raise CliError(f"cannot read {path}: {e}") from e
+        raise ValueError(f"cannot read {path}: {e}") from e
     try:
         return parse_circuit(text)
     except ParseError as e:
-        raise CliError(f"{path}: {e}") from e
+        raise ValueError(f"{path}: {e}") from e
 
 
 def _cost_table(path: "str | None"):
@@ -45,7 +41,7 @@ def _cost_table(path: "str | None"):
     try:
         return load_cost_table(path)
     except (OSError, ValueError) as e:
-        raise CliError(f"cost table {path}: {e}") from e
+        raise ValueError(f"cost table {path}: {e}") from e
 
 
 def _cmd_simulate(args) -> int:
@@ -74,7 +70,7 @@ def _cmd_reduce(args) -> int:
             with open(args.report, "w", encoding="utf-8") as f:
                 f.write(text)
         except OSError as e:
-            raise CliError(f"cannot write {args.report}: {e}") from e
+            raise ValueError(f"cannot write {args.report}: {e}") from e
     print(format_circuit(reduced))
     return 0
 
@@ -107,11 +103,11 @@ def _cmd_insert(args) -> int:
     if point is None:
         point = host.insertion_point
         if point is None:
-            raise CliError(f"{args.host} has no # marker; pass --at")
+            raise ValueError(f"{args.host} has no # marker; pass --at")
     try:
         print(format_circuit(insert_segment(host, segment, point)))
     except IndexError as e:
-        raise CliError(str(e)) from e
+        raise ValueError(str(e)) from e
     return 0
 
 
@@ -241,7 +237,7 @@ def main(argv: "list[str] | None" = None) -> int:
     except BrokenPipeError:
         _discard_stdout()
         return 1
-    except (CliError, CostTableError, GeneratorError, ValueError) as e:
+    except (CostTableError, GeneratorError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MemoryError:

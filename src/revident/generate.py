@@ -74,12 +74,17 @@ class GeneratorConfig:
 
 
 def _random_gates(rng: random.Random, width: int, count: int, max_controls: int) -> list[Gate]:
+    """``count`` drawn gates, one ``Gate`` object per distinct drawn wire
+    tuple, so a long draw holds a few thousand gates, not one per draw."""
     gates: list[Gate] = []
+    made: dict[tuple[int, ...], Gate] = {}
     for _ in range(count):
         while True:
             k = rng.randint(0, max_controls)
-            wires = rng.sample(range(width), k + 1)
-            g = Gate(frozenset(wires[:-1]), wires[-1])
+            wires = tuple(rng.sample(range(width), k + 1))
+            g = made.get(wires)
+            if g is None:
+                g = made[wires] = Gate(frozenset(wires[:-1]), wires[-1])
             if not (gates and g == gates[-1]):
                 break
         gates.append(g)

@@ -27,13 +27,14 @@ half's, or ``_slice`` of the table that ``synthesize_inverse`` takes at
 any width, since its caller built the table.
 
 No specification is kept between calls.  What depends only on the width
-is built by ``_start`` on first use and kept for the process, one
+is built on first use and kept for the process.  ``_start`` keeps one
 ``_Start`` per width used: the identity's columns as a tuple, their
-column hashes and fingerprint and the mask of all inputs, about 150 KB
-at width 16.  The transpose's three masks, 192 KB at width 16, are
-added when the first table or text at that width is built, so a walk
-that builds neither never holds them.  ``_identity_columns`` hands out a
-fresh list copy of the identity, so a walk never alters the kept one.
+column hashes and the mask of all inputs, about 150 KB at width 16.
+``_masks`` keeps the transpose's three masks, 192 KB at width 16, and
+is first called when the first table or text at that width is built, so
+a walk that builds neither never holds them.  ``_identity_columns``
+hands out a fresh list copy of the identity, so a walk never alters the
+kept one.
 
 The one prefix scan is ``_cuts``, a single loop: each gate is applied
 to the live columns in place, its target column is rehashed, the
@@ -43,18 +44,20 @@ kept gates cut back to the hit.  The index is one dict in stack order:
 a prefix sits at its fingerprint or the first free key above it, a
 lookup walks up through taken keys, and a cut pops the newest entries.
 A scan thus keeps one live set of columns rather than one per prefix.
-A prefix is keyed by ``sum(r_k * hash(col_k))`` with fixed pseudo-random
-multipliers ``r_k`` (Karp-Rabin fingerprinting; the int hash of a column
-is its value mod ``2**61 - 1``), so a gate costs one application and one
-hash of its target column.  Equal prefixes always share a fingerprint;
-a shared fingerprint is confirmed exactly: the empty prefix is compared
-with the live columns directly, any other by simulating the gates
-between the two prefixes from the identity (``_spans_identity``).  A
-collision therefore costs time, never a wrong answer.  The scan has
-three users: ``reduce.eliminate_ntris`` takes every cut, and
-``reduce.is_irreducible`` and ``generate.is_interior_irreducible`` take
-the first, through ``_first_repeat``.  ``_spans_identity`` also decides
-``is_identity`` and ``equivalent``.
+A prefix is keyed by ``sum(r_k * (hash(col_k) - hash(id_k)))``, its
+column hashes measured from the identity's columns ``id_k`` and weighted
+by fixed pseudo-random multipliers ``r_k`` (Karp-Rabin fingerprinting;
+the int hash of a column is its value mod ``2**61 - 1``).  So the empty
+prefix's key is 0, and a gate costs one application and one hash of its
+target column.  Equal prefixes always share a fingerprint; a shared
+fingerprint is confirmed exactly: the empty prefix is compared with the
+live columns directly, any other by simulating the gates between the two
+prefixes from the identity (``_spans_identity``).  A collision
+therefore costs time, never a wrong answer.  The scan has three users:
+``reduce.eliminate_ntris`` takes every cut, and ``reduce.is_irreducible``
+and ``generate.is_interior_irreducible`` take the first, through
+``_first_repeat``.  ``_spans_identity`` also decides ``is_identity`` and
+``equivalent``.
 """
 
 from __future__ import annotations
@@ -63,7 +66,6 @@ import random
 import struct
 from collections.abc import Iterable, Iterator
 from functools import cache
-from operator import mul
 
 from .circuit import Circuit, Gate, WidthMismatchError
 
@@ -118,6 +120,8 @@ def format_spec(spec: Specification) -> str:
 # below 2**61 - 1, the modulus of CPython's int hash.  A width needs 2**width
 # bits per column, so 64 wires are more than any width can reach.
 _MULTIPLIERS = tuple(random.Random(20110122).sample(range(1, (1 << 61) - 1), 64))
+# _start keeps the identity's column hashes for the whole process, so
+# _column_hash may only be wrapped by something that returns hash(col).
 _column_hash = hash
 
 
@@ -125,11 +129,10 @@ class _Start:
     """What every walk over ``width`` wires starts from, built by
     ``_start`` once per width and process: the identity's columns (built
     one wire wider per step), the mask ``everywhere`` of all ``2**width``
-    inputs, and the identity's column hashes and fingerprint.  At width
-    16 that is about 150 KB.  The three ``masks`` of ``_transpose``,
-    another 192 KB at width 16, are built with the first byte plane."""
+    inputs, and the identity's column ``hashes``, from which ``_cuts``
+    measures a prefix's fingerprint.  At width 16 that is about 150 KB."""
 
-    __slots__ = ("identity", "everywhere", "_masks", "_hashed")
+    __slots__ = ("identity", "everywhere", "hashes")
 
     def __init__(self, width: int) -> None:
         cols: _Columns = []
@@ -138,32 +141,22 @@ class _Start:
             cols = [col | col << half for col in cols]
             cols.append(((1 << half) - 1) << half)
         self.identity = tuple(cols)
-        size = 1 << width
-        self.everywhere = (1 << size) - 1
-        self._masks = ()
-        self._hashed = None, (), 0
-
-    def masks(self) -> tuple[int, ...]:
-        """The masks of ``_transpose``'s three delta-swaps, each a 64-bit
-        pattern repeated once per lane of a byte plane, so ``2**width``
-        bytes each (at least one lane), built on first use."""
-        if not self._masks:
-            lanes = -(-self.everywhere.bit_length() // 8)
-            self._masks = tuple(int.from_bytes(m.to_bytes(8, "little") * lanes, "little")
-                                for m in (0x00AA00AA00AA00AA, 0x0000CCCC0000CCCC, 0x00000000F0F0F0F0))
-        return self._masks
-
-    def fingerprint(self) -> tuple[tuple[int, ...], int]:
-        """The identity's column hashes and fingerprint, kept together
-        with the ``_column_hash`` that made them and remade when it is
-        no longer the current one."""
-        if self._hashed[0] is not _column_hash:
-            hashes = tuple(map(_column_hash, self.identity))
-            self._hashed = _column_hash, hashes, sum(map(mul, _MULTIPLIERS, hashes))
-        return self._hashed[1:]
+        self.everywhere = (1 << (1 << width)) - 1
+        self.hashes = tuple(map(_column_hash, cols))
 
 
 _start = cache(_Start)
+
+
+@cache
+def _masks(width: int) -> tuple[int, ...]:
+    """The masks of ``_transpose``'s three delta-swaps on ``width`` wires,
+    each a 64-bit pattern repeated once per lane of a byte plane, so
+    ``2**width`` bytes each (at least one lane): 192 KB at width 16,
+    first built with the first table or text at that width."""
+    lanes = -(-(1 << width) // 8)
+    return tuple(int.from_bytes(m.to_bytes(8, "little") * lanes, "little")
+                 for m in (0x00AA00AA00AA00AA, 0x0000CCCC0000CCCC, 0x00000000F0F0F0F0))
 
 
 def _identity_columns(width: int) -> _Columns:
@@ -199,7 +192,7 @@ def _transpose(x: int, masks: tuple[int, ...]) -> int:
     ``r`` is row ``r``: bit ``8r + c`` of a lane trades places with bit
     ``8c + r`` (Warren, *Hacker's Delight*, section 7-3).  Three
     delta-swaps on the whole int, 7, 14 and 28 bits apart, move the bits
-    that ``masks`` (``_Start.masks``) select.  It is its own inverse."""
+    that ``masks`` (``_masks``) select.  It is its own inverse."""
     for shift, mask in zip((7, 14, 28), masks):
         t = (x ^ x >> shift) & mask
         x ^= t ^ t << shift
@@ -225,7 +218,7 @@ def _table(cols: _Columns) -> Specification:
     input ``x``'s bits of eight columns, one ``_transpose`` per plane,
     read back as 32-bit entries."""
     size = 1 << len(cols)
-    masks = _start(len(cols)).masks()
+    masks = _masks(len(cols))
     entries = bytearray(4 * size)
     for p in range(0, len(cols), 8):
         entries[p // 8::4] = _plane(cols[p:p + 8], size, masks)
@@ -238,9 +231,10 @@ def _slice(spec: Specification) -> _Columns:
     size = len(spec)
     width = size.bit_length() - 1
     entries = struct.pack(f"<{size}I", *spec)
+    masks = _masks(width)
     cols: _Columns = []
     for p in range(0, width, 8):
-        plane = _transpose(int.from_bytes(entries[p // 8::4], "little"), _start(width).masks())
+        plane = _transpose(int.from_bytes(entries[p // 8::4], "little"), masks)
         lanes = plane.to_bytes(size, "little")  # byte 8k + b is byte k of column p + b
         cols += [int.from_bytes(lanes[b::8], "little") for b in range(8)]
     return cols[:width]
@@ -325,7 +319,7 @@ def _spec_text(cols: _Columns, sep: str = ",") -> str:
         above |= nonzero
         bcd[4 * j + 1] = d1 | inner
         bcd[4 * j + 3] = d3 | inner
-    masks = _start(len(cols)).masks()
+    masks = _masks(len(cols))
     stride = digits + len(sep)  # input x's digits and sep start at stride * x
     text = bytearray(bytes(digits) + sep.encode()) * size
     for j in range(0, digits, 2):  # digits j and j + 1 share a plane
@@ -361,8 +355,9 @@ def _cuts(cols: _Columns, gates: Iterable[Gate], kept: list[Gate]) -> Iterator[t
     """The prefix scan with cuts, one loop.  ``cols``, the identity's
     columns, take each of ``gates`` in place; ``kept``, empty at the
     start, is the stack of gates kept so far.  A prefix's fingerprint is
-    the exact integer ``sum(r_k * hash(cols[k]))``, so a gate rehashes
-    only its target column; the identity's is kept per width.  When a
+    the exact integer ``sum(r_k * (hash(cols[k]) - hash(identity[k])))``,
+    so the empty prefix's is 0 and a gate rehashes only its target column;
+    the identity's hashes are kept per width, in ``_Start``.  When a
     new prefix equals kept prefix ``kept[:j]``, yield ``(j, span)``,
     ``span`` being the gates between them (the new gate last), then cut
     ``kept`` back to ``j``; otherwise push the gate.  Every cut deletes
@@ -377,8 +372,8 @@ def _cuts(cols: _Columns, gates: Iterable[Gate], kept: list[Gate]) -> Iterator[t
     confirmation that succeeds simulates gates the cut then deletes."""
     start = _start(len(cols))
     identity, everywhere = start.identity, start.everywhere
-    hashes, fp = start.fingerprint()
-    hashes = list(hashes)
+    hashes = list(start.hashes)
+    fp = 0  # measured from the identity's fingerprint
     index = {fp: 0}  # key -> k, for kept[:k]; insertion order is stack order
     for g in gates:
         # _run's gate application, inlined: _run(cols, (g,)) would cost

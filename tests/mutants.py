@@ -63,6 +63,9 @@ MUTANTS = [
     ("_plane: no padded lane at widths 1 and 2, whose columns are shorter than one byte",
      [("semantics.py", "step = -(-size // 8)", "step = size // 8")],
      [_BOUNDARIES + "[1]", _BOUNDARIES + "[2]"]),
+    ("_masks: no padded lane at widths 1 and 2, so the masks are empty there",
+     [("semantics.py", "-(-(1 << width) // 8)", "(1 << width) // 8")],
+     [_BOUNDARIES + "[1]", _BOUNDARIES + "[2]"]),
     ("_spec_text: the units digit read through the non-units table, so entry 0 prints nothing",
      [("semantics.py", "_LOW_DIGITS if j else _UNITS_DIGITS", "_LOW_DIGITS")],
      ["tests/test_semantics.py::test_spec_text_matches_formatted_table"]),
@@ -90,6 +93,10 @@ MUTANTS = [
     ("_cuts: the index rollback skipped, so cut prefixes stay candidates",
      [("semantics.py", "for _ in range(len(index) - 1 - j):", "for _ in range(0):")],
      [_INDEX + "test_cut_prefixes_leave_the_index"]),
+    ("_Start: the identity's column hashes kept in reverse wire order",
+     [("semantics.py", "self.hashes = tuple(map(_column_hash, cols))",
+       "self.hashes = tuple(map(_column_hash, reversed(cols)))")],
+     [_INDEX + "test_first_repeat_matches_bruteforce[real]"]),
     ("_identity_columns: a circuit at the width cap refused",
      [("semantics.py", "if width > DEFAULT_WIDTH_CAP:", "if width >= DEFAULT_WIDTH_CAP:")],
      ["tests/test_semantics.py::test_width_cap_is_one_constant_with_no_override[simulate]"]),
@@ -104,6 +111,10 @@ MUTANTS = [
     ("_random_gates: a gate equal to its left neighbour kept",
      [("generate.py", "if not (gates and g == gates[-1]):", "if True:")],
      ["tests/test_generate.py::TestRandomCircuit::test_adjacent_duplicates_forbidden_by_default"]),
+    ("_random_gates: the gate memo keyed by the wires after the first, so draws share wrong gates",
+     [("generate.py", "g = made.get(wires)", "g = made.get(wires[1:])"),
+      ("generate.py", "g = made[wires] =", "g = made[wires[1:]] =")],
+     ["tests/test_cli.py::test_gen_ntri_output_is_golden"]),
     ("gen_random_ntri: a one-gate random half, whose inverse is that same gate",
      [("generate.py", "base = max(2, cfg.min_length // 2)", "base = max(1, cfg.min_length // 2)")],
      ["tests/test_generate.py::TestRandomNtri::test_short_minimum_gives_no_trivial_identity",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,6 +13,7 @@ from revident import (
     GeneratorError,
     WidthCapExceeded,
     eliminate_ntris,
+    format_circuit,
     gen_random_circuit,
     gen_random_ntri,
     generate,
@@ -70,6 +72,21 @@ class TestRandomCircuit:
 
     def test_zero_gates(self):
         assert gen_random_circuit(GeneratorConfig(width=4, gates=0)) == Circuit.empty(4)
+
+    def test_long_draw_is_written_in_bounded_memory(self):
+        # one Gate per distinct drawn wire tuple: a new Gate and frozenset
+        # per draw made gen-random hold about 550 bytes per gate
+        cfg = GeneratorConfig(width=10, gates=100_000, seed=5)
+        tracemalloc.start()
+        try:
+            c = gen_random_circuit(cfg)
+            text = format_circuit(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(c) == text.count(")") == cfg.gates
+        assert peak < 100 * cfg.gates
+        assert len(set(map(id, c.gates))) <= 10 * 9 * 8 * 7 + 10 * 9 * 8 + 10 * 9 + 10
 
 
 class TestSynthesizeInverse:

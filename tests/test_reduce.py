@@ -265,12 +265,13 @@ def _late_hit_cases():
 
 
 class TestFingerprintIndex:
-    """Every prefix lookup collides when the column hash is a constant:
-    only the exact confirmation then tells candidates apart."""
+    """Every prefix lookup collides when the multipliers are all zero,
+    which keeps every key at 0: only the exact confirmation then tells
+    candidates apart."""
 
     @pytest.fixture()
     def colliding(self, monkeypatch):
-        monkeypatch.setattr(semantics, "_column_hash", lambda col: 0)
+        monkeypatch.setattr(semantics, "_MULTIPLIERS", (0,) * 64)
 
     def test_constant_fingerprint_matches_restarting_scan(self, colliding):
         for c in [*_reference_cases(), *_late_hit_cases()]:
@@ -290,7 +291,7 @@ class TestFingerprintIndex:
         ntris = [gen_random_ntri(GeneratorConfig(width=w, min_length=2 * w, seed=s))
                  for w in (3, 4, 5) for s in range(6)]
         if constant:
-            monkeypatch.setattr(semantics, "_column_hash", lambda col: 0)
+            monkeypatch.setattr(semantics, "_MULTIPLIERS", (0,) * 64)
         for c in [*_reference_cases(), *_late_hit_cases(), *ntris]:
             hit = _first_repeat(c)
             assert hit == first_hit(list(c.gates), c.width)
@@ -314,7 +315,7 @@ class TestFingerprintIndex:
 
         monkeypatch.setattr(semantics, "_spans_identity", counting_spans_identity)
         for c in _late_hit_cases():
-            eliminate_ntris(c)  # the identity's fingerprint is rebuilt for the new hash once
+            eliminate_ntris(c)  # builds the width's start state, whose identity hashes would count
             hashed.clear()
             confirmed.clear()
             _, report = eliminate_ntris(c)

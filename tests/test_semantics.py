@@ -41,7 +41,7 @@ from revident import (
 )
 
 from revident import semantics
-from revident.semantics import _columns, _identity_columns, _run, _slice, _spec_text, _start, _table
+from revident.semantics import _columns, _identity_columns, _masks, _run, _slice, _spec_text, _start, _table
 
 from helpers import all_gates, circuits, prefix_trace, random_circuit, simulate_bruteforce, table_reference
 
@@ -213,13 +213,9 @@ def test_width_above_cap_raises_and_keeps_nothing():
     assert _start.cache_info().currsize == 0
 
 
-def test_kept_fingerprint_follows_column_hash(monkeypatch):
-    real = _start(4).fingerprint()
-    assert real[0] == tuple(map(hash, _identity_from_scratch(4)))
-    monkeypatch.setattr(semantics, "_column_hash", lambda col: 0)
-    assert _start(4).fingerprint() == ((0, 0, 0, 0), 0)
-    monkeypatch.undo()
-    assert _start(4).fingerprint() == real
+def test_kept_hashes_are_the_identity_column_hashes():
+    for width in (1, 4, 16):
+        assert _start(width).hashes == tuple(map(hash, _identity_from_scratch(width)))
 
 
 def test_start_state_memory_is_bounded_per_width():
@@ -229,10 +225,10 @@ def test_start_state_memory_is_bounded_per_width():
     _start.cache_clear()
     tracemalloc.start()
     try:
-        _start(16).fingerprint()
+        _start(16)
         at_16 = tracemalloc.get_traced_memory()[0]
         for width in range(1, 16):
-            _start(width).fingerprint()
+            _start(width)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -243,17 +239,18 @@ def test_start_state_memory_is_bounded_per_width():
 def test_transpose_masks_are_built_with_the_first_plane():
     # a reduction builds no masks; the first table at a width builds three
     # ints of 2**w bytes, 192 KB of bits at width 16
-    _start.cache_clear()
+    _masks.cache_clear()
     c = random_circuit(random.Random(16), 16, 20)
     eliminate_ntris(concat(c, inverse(c)))
-    assert _start(16)._masks == ()
+    assert _masks.cache_info().currsize == 0
     tracemalloc.start()
     try:
         simulate(c)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(_start(16)._masks) == 3
+    assert _masks.cache_info().currsize == 1
+    assert len(_masks(16)) == 3
     assert held < 210 << 10
 
 
