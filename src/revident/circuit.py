@@ -31,7 +31,7 @@ text.  The gates are appended by one mapped lookup keyed by piece, so
 each distinct gate is one object.  The run's new distinct pieces are
 checked and built together, by string, ``map`` and ``bytes.translate``
 passes in C.  A valid parse makes no second regex pass.  Only when the
-run fails is it scanned again, for the first problem of its tokens.
+run fails is it scanned again, its tokens checked up to the first problem.
 ``format_circuit`` renders each distinct gate object once, found by
 identity in a dict built in C, so gate equality and hashing are never
 called; the tokens are then mapped per gate.  ``Circuit(...)`` checks
@@ -253,11 +253,11 @@ def parse_circuit(text: str) -> Circuit:
     name, ``(`` and its body.  Equal pieces are equal gates, whatever
     separates them, so the pieces key the memo of built gates, which
     spans the runs, and the run's new distinct pieces are checked and
-    built together by ``_build``.  Whether a token passes ``_check`` depends only on its
-    piece and the header, which precedes every gate.  So when the run
-    fails, one scan of its text checks each token whose piece is neither
-    built nor checked yet, and raises at the first problem, quoting the
-    token as written.
+    built together by ``_build``.  When the run fails, one scan of its
+    text checks its tokens in order and raises at the first problem,
+    quoting the token as written.  A token whose piece was built earlier
+    passes: it met the same rules against the same header, which
+    precedes every gate.
     """
     if "//" in text:
         text = re.sub(r"//[^\n]*", "", text)
@@ -277,12 +277,9 @@ def parse_circuit(text: str) -> Circuit:
             new = [*filterfalse(built.__contains__, dict.fromkeys(pieces))]
             made = _build(new, index, declared) if new else []
             if made is None:
-                checked = set(built)
                 for t in _GATE_RE.finditer(text, *m.span(3)):
-                    if (key := t[0][:-1].translate(_SQUASH)) not in checked:
-                        checked.add(key)
-                        if problem := _check(*t.group(1, 2), index, declared):
-                            raise ParseError(f"{problem[0]}{t.start()}{problem[1]}")
+                    if problem := _check(*t.group(1, 2), index, declared):
+                        raise ParseError(f"{problem[0]}{t.start()}{problem[1]}")
             built.update(zip(new, made))
             gates += map(built.__getitem__, pieces)
         elif m.lastindex == 1:

@@ -65,10 +65,10 @@ def _cmd_reduce(args) -> int:
     else:
         reduced, report = eliminate_ntris(c, table)
     if args.report:
-        text = _json(report) + "\n"
         try:
             with open(args.report, "w", encoding="utf-8") as f:
-                f.write(text)
+                _json(report, f)
+                f.write("\n")
         except OSError as e:
             raise ValueError(f"cannot write {args.report}: {e}") from e
     print(format_circuit(reduced))
@@ -138,7 +138,8 @@ def _cmd_bench(args) -> int:
         payload = reports[0].to_dict() if len(reports) == 1 else {
             "suites": [r.to_dict() for r in reports]
         }
-        print(_json(payload))  # the one JSON writer, also behind reduce --report
+        _json(payload, sys.stdout)  # the one JSON writer, also behind reduce --report
+        print()
     else:
         print("\n\n".join(bench_mod.render_report(r) for r in reports))
     return 0 if all(r.passed for r in reports) else 1

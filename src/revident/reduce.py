@@ -161,15 +161,19 @@ class ReductionReport:
         return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
 
 
-def _json(value) -> str:
-    """``json.dumps(value, indent=2)``, byte for byte: the one JSON writer.
-    ``value`` holds dicts with ``str`` keys, lists, tuples, ``str``, ``int``,
-    ``bool``, None, ``_FinalColumns`` (written from the columns by
-    ``_spec_text``, once per object and depth), and ``ReductionReport`` and
-    ``Removal`` (written as ``to_dict()`` writes them, from their stored
-    fields in declaration order); other types raise TypeError."""
+def _json(value, out) -> None:
+    """Write ``json.dumps(value, indent=2)`` to the text stream ``out``, byte
+    for byte: the one JSON writer.  ``value`` holds dicts with ``str`` keys,
+    lists, tuples, ``str``, ``int``, ``bool``, None, ``_FinalColumns``
+    (written from the columns by ``_spec_text``, once per object and depth),
+    and ``ReductionReport`` and ``Removal`` (written as ``to_dict()`` writes
+    them, from their stored fields in declaration order); other types raise
+    TypeError.  The text goes out in pieces of about 4,096 parts, so memory
+    stays bounded however long ``value`` is; an error partway, such as that
+    TypeError or running out of memory, leaves ``out`` holding the text
+    written before it."""
     from json.encoder import encode_basestring_ascii as text  # on use: no json on import
-    parts: list[str] = []  # every piece of the text, joined once
+    parts: list[str] = []  # the pieces of the text not yet written
     specs: dict[tuple[int, str], str] = {}  # _spec_text's entries by (id(columns), pad)
 
     def write(v, pad: str) -> None:
@@ -189,14 +193,17 @@ def _json(value) -> str:
         elif not v and (t is dict or t is list or t is tuple):
             parts.append("{}" if t is dict else "[]")
         elif t is dict or t is list or t is tuple:
-            first, inner = len(parts), pad + "  "
+            sep, inner = "{" if t is dict else "[", pad + "  "
             for x in v:
-                parts.extend((",", inner))
+                parts.extend((sep, inner))
+                sep = ","
                 if t is dict:  # x is a key
                     parts.extend((text(x), ": "))
                     x = v[x]
                 write(x, inner)
-            parts[first] = "{" if t is dict else "["  # in place of the first item's comma
+                if len(parts) > 4096:
+                    out.write("".join(parts))
+                    parts.clear()
             parts.extend((pad, "}" if t is dict else "]"))
         elif t is ReductionReport or t is Removal:  # last: bench payloads never get here
             write({f.name: vars(v)[f.name] for f in fields(v)}, pad)
@@ -204,8 +211,8 @@ def _json(value) -> str:
             raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
     write(value, "\n")
-    del write  # write refers to itself: without the del, parts lives on until a collection
-    return "".join(parts)
+    del write  # write refers to itself: without the del, specs lives on until a collection
+    out.write("".join(parts))
 
 
 def _maybe_cost(gates: "list[Gate] | tuple[Gate, ...]", table: Mapping[int, int]) -> int | None:

@@ -57,6 +57,12 @@ MUTANTS = [
      [("reduce.py", "write({f.name: vars(v)[f.name] for f in fields(v)}, pad)",
        "write(dict(vars(v)), pad)")],
      ["tests/test_reduce.py::TestReport::test_json_writes_fields_in_declaration_order"]),
+    ("_json: the parts handed to the stream and kept, so each flush writes them again",
+     [("reduce.py", "                    parts.clear()\n", "")],
+     ["tests/test_reduce.py::TestJsonWriter::test_text_past_one_flush_matches_encoder"]),
+    ("_json: each item after the first opened with the bracket, not a comma",
+     [("reduce.py", '                sep = ","\n', "")],
+     [_JSON_ENCODER]),
     ("_transpose: the 28-bit delta-swap dropped",
      [("semantics.py", "zip((7, 14, 28), masks)", "zip((7, 14), masks)")],
      ["tests/test_semantics.py::test_simulate_matches_bruteforce_across_byte_planes"]),
@@ -128,12 +134,6 @@ MUTANTS = [
     ("parse_circuit: the piece after the run's last gate kept",
      [("circuit.py", "del pieces[-1]", "pass")],
      [_PARSE + "test_matches_reference_parser"]),
-    ("parse_circuit: the error path checks tokens built in earlier runs again",
-     [("circuit.py", "checked = set(built)", "checked = set()")],
-     [_PARSE + "test_failing_run_checks_each_new_token_once"]),
-    ("parse_circuit: the error path keys a token by its raw text",
-     [("circuit.py", "(key := t[0][:-1].translate(_SQUASH))", "(key := t[0][:-1])")],
-     [_PARSE + "test_failing_run_skips_gates_built_after_other_separators"]),
     ("_SQUASH: the \";\" left as it is",
      [("circuit.py", 'str.maketrans(";", ",", ', 'str.maketrans("", "", ')],
      [_PARSE + "test_matches_reference_parser"]),

@@ -274,10 +274,12 @@ class TestParse:
         text = "NOT(a) # NOT(b) CNOT(a, b) NOT(a) NOT(b) CNOT(a, b) CNOT(b, b) NOT(c) CNOT(b, b)"
         with pytest.raises(ParseError, match="^repeated wire in gate at position 52$"):
             parse_circuit(text)
-        # NOT(a) was built in the first run; the first bad token ends the checks
-        assert checked == [("NOT", "b"), ("CNOT", "a, b"), ("CNOT", "b, b")]
+        # the failing run's tokens are checked in order, built or not, and
+        # the first bad token ends the checks
+        assert checked == [("NOT", "b"), ("CNOT", "a, b"), ("NOT", "a"), ("NOT", "b"),
+                           ("CNOT", "a, b"), ("CNOT", "b, b")]
 
-    def test_failing_run_skips_gates_built_after_other_separators(self, monkeypatch):
+    def test_failing_run_checks_tokens_as_written_after_other_separators(self, monkeypatch):
         check, checked = circuit._check, []
 
         def counting(name, body, index, declared):
@@ -288,7 +290,9 @@ class TestParse:
         text = "CNOT(a, b) # CNOT( a,b );NOT(a) CNOT (a,\tb)\r\nNOT( a ) CNOT(b; b)"
         with pytest.raises(ParseError, match="^repeated wire in gate at position 54$"):
             parse_circuit(text)
-        assert checked == [("NOT", "a"), ("CNOT", "b; b")]
+        # each token as written, in order, up to the first bad one
+        assert checked == [("CNOT", " a,b "), ("NOT", "a"), ("CNOT", "a,\tb"), ("NOT", " a "),
+                           ("CNOT", "b; b")]
 
     def test_squash_deletes_exactly_the_regex_whitespace(self):
         # a separator that _TOKEN_RE accepts but the table kept would reach

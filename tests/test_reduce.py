@@ -1,10 +1,11 @@
-"""Identity elimination: the trivial pass, the full eliminator under
-both its names, and the reduction reports."""
+"""Identity elimination: the trivial pass, the full eliminator, and the
+reduction reports."""
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import io
 import json
 import pickle
 import random
@@ -54,6 +55,13 @@ ALTERNATING = (
     "TOF4(a, c, d, b) TOF4(a, b, d, c) TOF4(a, c, d, b) "
     "TOF4(a, b, d, c) TOF4(a, c, d, b) TOF4(a, b, d, c)"
 )
+
+
+def _json_text(value) -> str:
+    """The text ``_json`` writes for ``value``."""
+    out = io.StringIO()
+    _json(value, out)
+    return out.getvalue()
 
 
 class TestTrivialPass:
@@ -181,31 +189,8 @@ class TestEliminate:
 
 
 class TestFastVariant:
-    def test_identical_on_random_circuits(self):
-        rng = random.Random(31337)
-        for _ in range(150):
-            c = random_circuit(rng, rng.randint(2, 5), rng.randint(0, 40))
-            slow_out, slow_rep = eliminate_ntris(c)
-            fast_out, fast_rep = eliminate_ntris_fast(c)
-            assert fast_out == slow_out
-            assert fast_rep.removals == slow_rep.removals
-            assert fast_rep.passes == slow_rep.passes
-            assert fast_rep == slow_rep  # comparisons field is excluded from equality
-
-    def test_identical_on_handmade_cases(self):
-        for text in (GOLDEN, BURIED, ALTERNATING, "NOT(a) NOT(a) NOT(a) NOT(a)"):
-            c = parse_circuit(text)
-            assert eliminate_ntris_fast(c)[0] == eliminate_ntris(c)[0]
-
     def test_fast_is_the_same_function(self):
         assert eliminate_ntris_fast is eliminate_ntris
-
-    def test_comparison_counter_differs_but_equality_holds(self):
-        c = parse_circuit(ALTERNATING)
-        _, slow = eliminate_ntris(c)
-        _, fast = eliminate_ntris_fast(c)
-        assert slow == fast
-        assert slow.comparisons >= fast.comparisons
 
 
 def _with_mirrors(rng: random.Random, c: Circuit) -> Circuit:
@@ -233,15 +218,10 @@ def _reference_cases():
 
 
 class TestAgainstReference:
-    @pytest.mark.parametrize(
-        "eliminate",
-        [eliminate_ntris, eliminate_ntris_fast],
-        ids=["eliminate_ntris", "eliminate_ntris_fast"],
-    )
-    def test_matches_restarting_scan(self, eliminate):
+    def test_matches_restarting_scan(self):
         for c in _reference_cases():
             ref_out, ref = eliminate_reference(c)
-            out, report = eliminate(c)
+            out, report = eliminate_ntris(c)
             assert out == ref_out
             assert report.removals == ref.removals
             assert report.passes == ref.passes
@@ -252,10 +232,9 @@ class TestAgainstReference:
     def test_lookups_linear_in_input_gates(self):
         c = late_hit_circuit(random.Random(77), 6, 120, 4, 8)
         m = len(c.gates)
-        _, fast = eliminate_ntris_fast(c)
-        _, slow = eliminate_ntris(c)
-        assert fast.passes == 5
-        assert slow.comparisons == fast.comparisons == m
+        _, report = eliminate_ntris(c)
+        assert report.passes == 5
+        assert report.comparisons == m
 
 
 def _late_hit_cases():
@@ -414,7 +393,7 @@ class TestReport:
         eager = ReductionReport(**fields)
         assert eager == lazy and hash(eager) == hash(lazy)
         assert eager.to_dict() == lazy.to_dict()
-        assert _json(eager) == _json(lazy) == json.dumps(lazy.to_dict(), indent=2)
+        assert _json_text(eager) == _json_text(lazy) == json.dumps(lazy.to_dict(), indent=2)
         with pytest.raises(TypeError):
             ReductionReport(**{k: v for k, v in fields.items() if k != "output_spec"})
 
@@ -424,7 +403,7 @@ class TestReport:
         report = ReductionReport(2, (Removal(0, 2, 2, 2),), 3, 1, 3, 1, spec, spec, comparisons=3)
         assert report.input_spec is spec and report.output_spec is spec
         assert report.to_dict()["output_spec"] == [0, 1, 3, 2]
-        assert _json(report) == json.dumps(report.to_dict(), indent=2)
+        assert _json_text(report) == json.dumps(report.to_dict(), indent=2)
 
     def test_unread_report_survives_pickle_and_deepcopy(self, monkeypatch):
         calls = []
@@ -436,9 +415,9 @@ class TestReport:
         monkeypatch.setattr("revident.reduce._table", counting)
         c = parse_circuit(GOLDEN)
         _, lazy = eliminate_ntris(c)
-        text = _json(lazy)
+        text = _json_text(lazy)
         copies = [pickle.loads(pickle.dumps(lazy)), copy.deepcopy(lazy)]
-        assert [_json(r) for r in copies] == [text, text]
+        assert [_json_text(r) for r in copies] == [text, text]
         assert calls == []
         for r in copies:
             assert r == lazy and r.output_spec is r.input_spec == simulate(c)
@@ -474,7 +453,7 @@ class TestReport:
         _, report = reduce(c, table)
         if read:
             report.input_spec
-        assert _json(report) == json.dumps(report.to_dict(), indent=2)
+        assert _json_text(report) == json.dumps(report.to_dict(), indent=2)
 
     # fresh, and after a read of input_spec, which tabulates the shared
     # columns once and keeps them for the writer
@@ -497,7 +476,7 @@ class TestReport:
         _, report = reduce(parse_circuit(GOLDEN))
         if read:
             assert report.output_spec is report.input_spec
-        text = _json(report)
+        text = _json_text(report)
         assert texts == [",\n    "] and tables == [3] * read
         assert text == json.dumps(report.to_dict(), indent=2)
 
@@ -509,7 +488,7 @@ class TestReport:
         vars(backwards)["removals"] = tuple(
             _assemble(Removal, **dict(reversed(vars(r).items()))) for r in report.removals)
         assert list(vars(backwards)) != [f.name for f in dataclasses.fields(report)]
-        assert _json(backwards) == _json(report) == json.dumps(report.to_dict(), indent=2)
+        assert _json_text(backwards) == _json_text(report) == json.dumps(report.to_dict(), indent=2)
 
     def test_removal_validation(self):
         with pytest.raises(ValueError):
@@ -535,8 +514,8 @@ class TestJsonWriter:
     @example({"a": [], "b": {}, "c": [[], {}, ()], "": [{"d": []}]})
     @settings(max_examples=500)
     def test_matches_encoder(self, value):
-        assert _json(value) == json.dumps(value, indent=2)
-        assert _json({"k": value}) == json.dumps({"k": value}, indent=2)
+        assert _json_text(value) == json.dumps(value, indent=2)
+        assert _json_text({"k": value}) == json.dumps({"k": value}, indent=2)
 
     # columns are written as their table's list at any depth; the same
     # columns at two depths get two indents
@@ -545,13 +524,49 @@ class TestJsonWriter:
     def test_final_columns_match_encoder_of_their_table(self, c):
         cols = _FinalColumns(_columns(c))
         table = list(_table(cols))
-        assert _json({"a": [cols], "b": cols}) == json.dumps({"a": [table], "b": table}, indent=2)
+        assert _json_text({"a": [cols], "b": cols}) == json.dumps({"a": [table], "b": table}, indent=2)
+
+    def test_text_past_one_flush_matches_encoder(self):
+        # the writer hands its parts to the stream whenever it holds more
+        # than 4,096; 1,000 one-key dicts take 9,000 parts, so three writes
+        value = [{"i": i} for i in range(1000)]
+        writes = []
+
+        class Record(io.StringIO):
+            def write(self, text):
+                writes.append(len(text))
+                return super().write(text)
+
+        out = Record()
+        _json(value, out)
+        assert out.getvalue() == json.dumps(value, indent=2)
+        assert len(writes) == 3
+
+    def test_long_report_is_written_in_bounded_memory(self):
+        # 100,000 removals: the writer holds at most about 4,096 parts at
+        # a time, and most of what stays is the field dict that each
+        # Removal is read through, about 64 bytes
+        pairs = Circuit._of(1, (mct((), 0),) * 200_000)
+        _, report = remove_trivial_identities(pairs)
+        assert len(report.removals) == 100_000
+
+        class Discard:
+            def write(self, text):
+                return len(text)
+
+        tracemalloc.start()
+        try:
+            _json(report, Discard())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * len(report.removals)
 
     @pytest.mark.parametrize("value", [1.5, {1, 2}, {1: "a"}, [{"a": 0.0}]],
                              ids=["float", "set", "int-key", "nested-float"])
     def test_other_types_raise_type_error(self, value):
         with pytest.raises(TypeError):
-            _json(value)
+            _json_text(value)
 
 
 class TestIrreducible:
