@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 from operator import attrgetter
 
 from .circuit import Circuit, _assemble, insert_segment
@@ -161,10 +162,17 @@ TABLE2_ROWS: tuple[Table2Row, ...] = (
 def surviving_indices(gate_total: int, removals: tuple[Removal, ...]) -> list[int]:
     """Original gate indices left after replaying a removal list.
     Removal coordinates are local to the circuit at removal time, so a
-    sequential replay reproduces the eliminator's deletions exactly."""
-    idx = list(range(gate_total))
+    sequential replay reproduces the eliminator's deletions exactly.  One
+    pass: the list grows from the untouched original indices only up to
+    each removal's ``end_index``, so the eliminator's removals, which end
+    at the last kept gate, each cut the list's tail, and the indices no
+    removal reached are appended at the end."""
+    idx: list[int] = []
+    rest = iter(range(gate_total))
     for r in removals:
+        idx += islice(rest, max(0, r.end_index - len(idx)))
         del idx[r.start_gap : r.end_index]
+    idx += rest
     return idx
 
 

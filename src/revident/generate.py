@@ -21,7 +21,6 @@ from .semantics import (
     _first_repeat,
     _identity_columns,
     _run,
-    _slice,
     _synthesize,
     is_permutation,
 )
@@ -105,16 +104,19 @@ def gen_random_circuit(cfg: GeneratorConfig) -> Circuit:
 
 def synthesize_inverse(spec: Specification, width: int) -> Circuit:
     """A circuit computing the inverse of ``spec``, one output at a time
-    (``semantics._synthesize`` on its columns).  Gates are appended in
+    (``semantics._synthesize`` on its columns, each read off the table as
+    one base-2 numeral, last entry first).  Gates are appended in
     application order, so the returned circuit maps ``spec`` back to the
     identity.
 
-    It takes a table of any width, above ``DEFAULT_WIDTH_CAP`` too: the
-    caller has already built the ``2**width``-entry ``spec``.
+    It takes a table of any width, above ``DEFAULT_WIDTH_CAP`` too, as
+    base 2 is exempt from the int digit limit: the caller has already
+    built the ``2**width``-entry ``spec``.
     """
     if len(spec) != 1 << width or not is_permutation(spec):
         raise ValueError(f"not a permutation of 0..{(1 << width) - 1}")
-    return Circuit(width, tuple(_synthesize(_slice(spec))))
+    cols = [int(bytes(48 + (y >> k & 1) for y in reversed(spec)), 2) for k in range(width)]
+    return Circuit(width, tuple(_synthesize(cols)))
 
 
 def is_interior_irreducible(c: Circuit) -> bool:

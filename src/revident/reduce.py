@@ -205,8 +205,11 @@ def _json(value, out) -> None:
                     out.write("".join(parts))
                     parts.clear()
             parts.extend((pad, "}" if t is dict else "]"))
-        elif t is ReductionReport or t is Removal:  # last: bench payloads never get here
+        elif t is ReductionReport:  # last: bench payloads never get here
+            # vars(), as getattr would tabulate the columns
             write({f.name: vars(v)[f.name] for f in fields(v)}, pad)
+        elif t is Removal:  # getattr, as vars() would leave a dict on each one
+            write({f.name: getattr(v, f.name) for f in fields(v)}, pad)
         else:
             raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 

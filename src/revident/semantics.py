@@ -17,14 +17,13 @@ bracket: digits are computed bit-sliced and the text assembled in bulk
 byte operations, with no tuple and no ``str`` per entry.  Both
 boundaries turn each eight columns into one byte plane with one 8x8 bit
 transpose, ``_transpose``: the columns' bytes are interleaved into
-64-bit lanes and three delta-swaps run on the whole int.  The transpose
-is its own inverse, so ``_slice``, ``_table``'s inverse, takes its
-columns from the entry planes with it too.  ``DEFAULT_WIDTH_CAP`` is the
-one width cap, with no per-call override, and ``_identity_columns``, where
+64-bit lanes and three delta-swaps run on the whole int.  Planes run
+one way only, columns to entries.  ``DEFAULT_WIDTH_CAP`` is the one
+width cap, with no per-call override, and ``_identity_columns``, where
 every walk starts, checks it before anything is built.  ``_synthesize``,
 the inverse synthesis behind ``generate``, works on columns too: a random
-half's, or ``_slice`` of the table that ``synthesize_inverse`` takes at
-any width, since its caller built the table.
+half's, or those that ``synthesize_inverse`` reads off a table it is
+given, one base-2 numeral per wire.
 
 No specification is kept between calls.  What depends only on the width
 is built on first use and kept for the process.  ``_start`` keeps one
@@ -223,21 +222,6 @@ def _table(cols: _Columns) -> Specification:
     for p in range(0, len(cols), 8):
         entries[p // 8::4] = _plane(cols[p:p + 8], size, masks)
     return struct.unpack(f"<{size}I", entries)
-
-
-def _slice(spec: Specification) -> _Columns:
-    """``_table``'s inverse: the columns of a specification, from its
-    entry planes, since the lane transpose is its own inverse."""
-    size = len(spec)
-    width = size.bit_length() - 1
-    entries = struct.pack(f"<{size}I", *spec)
-    masks = _masks(width)
-    cols: _Columns = []
-    for p in range(0, width, 8):
-        plane = _transpose(int.from_bytes(entries[p // 8::4], "little"), masks)
-        lanes = plane.to_bytes(size, "little")  # byte 8k + b is byte k of column p + b
-        cols += [int.from_bytes(lanes[b::8], "little") for b in range(8)]
-    return cols[:width]
 
 
 def _bits(x: int) -> list[int]:

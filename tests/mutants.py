@@ -11,6 +11,13 @@ line fails loudly, and runs the mutant's test node ids there with
 those tests fails.  Before any mutant, the unpatched copy must pass
 every named test.
 
+Every pytest run, the unpatched one included, is bounded: it is killed
+after ``_TIMEOUT_S`` seconds, and its address space is capped at
+``_MEMORY_CAP`` bytes (``RLIMIT_AS``, set in that child only), so an
+allocation past the cap raises ``MemoryError``.  A mutant whose run hits
+either bound counts as caught, printed as ``caught (timeout)`` or
+``caught (memory)``; the unpatched run must stay inside both.
+
 Exit status: 0 when every mutant is caught, 1 when one survives, 2 when
 a patch no longer applies or a test run errors instead of failing.
 When a fast path is added, its mutant is added to ``MUTANTS``.
@@ -19,7 +26,10 @@ When a fast path is added, its mutant is added to ``MUTANTS``.
 from __future__ import annotations
 
 import os
+import re
+import resource
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -47,12 +57,16 @@ MUTANTS = [
      [("reduce.py", "if (id(v), pad) not in specs:", "if True:")],
      ["tests/test_reduce.py::TestReport::test_shared_specification_is_written_once"]),
     ("_json: a Removal refused as not serializable",
-     [("reduce.py", "elif t is ReductionReport or t is Removal:", "elif t is ReductionReport:")],
+     [("reduce.py", "elif t is Removal:", "elif False:")],
      ["tests/test_reduce.py::TestReport::test_report_json_matches_encoder"]),
     ("_json: a report's fields read through getattr, which tabulates the columns",
      [("reduce.py", "write({f.name: vars(v)[f.name] for f in fields(v)}, pad)",
        "write({f.name: getattr(v, f.name) for f in fields(v)}, pad)")],
      ["tests/test_reduce.py::TestReport::test_shared_specification_is_written_once"]),
+    ("_json: a Removal's fields read through vars(), which leaves a dict on each one",
+     [("reduce.py", "write({f.name: getattr(v, f.name) for f in fields(v)}, pad)",
+       "write({f.name: vars(v)[f.name] for f in fields(v)}, pad)")],
+     ["tests/test_reduce.py::TestJsonWriter::test_written_removals_keep_no_field_dict"]),
     ("_json: a report's fields written in the order they were stored",
      [("reduce.py", "write({f.name: vars(v)[f.name] for f in fields(v)}, pad)",
        "write(dict(vars(v)), pad)")],
@@ -151,6 +165,9 @@ MUTANTS = [
      [("bench.py", "del idx[r.start_gap : r.end_index]",
        "del idx[r.start_gap + 1 : r.end_index + 1]")],
      ["tests/test_bench.py::test_surviving_indices_replay"]),
+    ("surviving_indices: the list grown one entry short of each removal's end",
+     [("bench.py", "max(0, r.end_index - len(idx))", "max(0, r.end_index - len(idx) - 1)")],
+     ["tests/test_bench.py::test_surviving_indices_matches_plain_replay"]),
     ("run_table1: a row passes on the host's gate count alone, recovered or not",
      [("bench.py", "ok = recovered and ", "ok = ")],
      ["tests/test_bench.py::TestTable1::test_recovery_needs_the_host_gates_not_only_their_count"]),
@@ -185,11 +202,31 @@ def _patch(src: Path, file: str, old: str, new: str) -> None:
     path.write_text(text.replace(old, new), encoding="utf-8")
 
 
-def _pytest(tree: Path, tests: list[str]) -> int:
+_TIMEOUT_S = 300
+_MEMORY_CAP = 2 << 30  # 2 GiB
+_MEMORY_ERROR = re.compile(rb"^E\s+MemoryError", re.M)  # pytest's line for the exception
+_VERDICTS = {0: "SURVIVED", 1: "caught", "timeout": "caught (timeout)", "memory": "caught (memory)"}
+
+
+def _cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (_MEMORY_CAP, _MEMORY_CAP))
+
+
+def _pytest(tree: Path, tests: list[str]) -> "int | str":
+    """pytest's exit status for ``tests`` in ``tree``, or "timeout" or
+    "memory" when the run hit one of its bounds.  The child leads a
+    session of its own, so a timeout kills every process it started."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-    return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
+    with subprocess.Popen(cmd, cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                          preexec_fn=_cap_memory, start_new_session=True) as child:
+        try:
+            out = child.communicate(timeout=_TIMEOUT_S)[0]
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            return "timeout"
+    return "memory" if child.returncode and _MEMORY_ERROR.search(out) else child.returncode
 
 
 def main() -> int:
@@ -208,7 +245,7 @@ def main() -> int:
             return 2
         every_test = list(dict.fromkeys(t for *_, tests in MUTANTS for t in tests))
         if (rc := _pytest(tree, every_test)) != 0:
-            print(f"error: the named tests fail unpatched (pytest exit {rc})", file=sys.stderr)
+            print(f"error: the named tests fail unpatched (pytest: {rc})", file=sys.stderr)
             return 2
         status = 0
         for name, patches, tests in MUTANTS:
@@ -218,9 +255,9 @@ def main() -> int:
                 _patch(src, file, old, new)
             start = time.perf_counter()
             rc = _pytest(tree, tests)
-            verdict = {0: "SURVIVED", 1: "caught"}.get(rc, f"ERROR (pytest exit {rc})")
-            print(f"{verdict:<10} {time.perf_counter() - start:5.1f} s  {name}")
-            if rc != 1:
+            verdict = _VERDICTS.get(rc, f"ERROR (pytest exit {rc})")
+            print(f"{verdict:<16} {time.perf_counter() - start:5.1f} s  {name}")
+            if not verdict.startswith("caught"):
                 status = max(status, 1 if rc == 0 else 2)
     return status
 

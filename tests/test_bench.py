@@ -7,8 +7,20 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from revident import Circuit, bench, corpus, mct, remove_trivial_identities
+from revident import (
+    Circuit,
+    bench,
+    circuit_cost,
+    corpus,
+    eliminate_ntris,
+    insert_segment,
+    load_corpus_circuit,
+    mct,
+    remove_trivial_identities,
+)
 from revident.cli import main
 from revident.bench import (
     TABLE1_ROWS,
@@ -19,6 +31,8 @@ from revident.bench import (
     run_table2,
     surviving_indices,
 )
+
+from helpers import peres_cost
 
 # rows whose published optimal cost cannot be recomputed from the stored
 # circuit with the default cost table; kept as published, flagged as
@@ -42,6 +56,31 @@ def test_surviving_indices_replay():
     removals = (Removal(1, 3, 2, None), Removal(0, 2, 2, None))
     assert surviving_indices(5, removals) == [4]
     assert surviving_indices(3, ()) == [0, 1, 2]
+
+
+@st.composite
+def _removal_lists(draw):
+    # a gate total and a valid removal list for it: each span lies inside
+    # the circuit as the removals before it left it
+    gate_total = length = draw(st.integers(0, 40))
+    removals = []
+    while length and draw(st.booleans()):
+        end = draw(st.integers(1, length))
+        start = draw(st.integers(0, end - 1))
+        removals.append(Removal(start, end, end - start, None))
+        length -= end - start
+    return gate_total, tuple(removals)
+
+
+@given(_removal_lists())
+@settings(max_examples=300)
+def test_surviving_indices_matches_plain_replay(case):
+    # the plain replay deletes each span from the whole index list
+    gate_total, removals = case
+    idx = list(range(gate_total))
+    for r in removals:
+        del idx[r.start_gap : r.end_index]
+    assert surviving_indices(gate_total, removals) == idx
 
 
 class TestTable1:
@@ -278,3 +317,62 @@ def test_bench_json_matches_encoder(suite, capsys):
     t1, t2 = run_table1().to_dict(), run_table2().to_dict()
     expected = {"table1": t1, "table2": t2, "all": {"suites": [t1, t2]}}[suite]
     assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
+# The discrepancy lines of bench all, each named by its row and first
+# word, that one cost rule explains: an adjacent Peres pair (TOF on
+# {a, b} next to CNOT on a and b) costs 4, not 5 + 1 (helpers.peres_cost).
+# Of those it leaves, three are bugged figures one gate above the printed
+# ones, a gate-count slip, and three are insertion-column notes.
+PERES_EXPLAINED = {
+    "imark: bugged", "mperk: optimal", "mperk: bugged", "oc5: bugged", "oc6: bugged",
+    "oc7: optimal", "oc7: bugged", "rd32: optimal", "rd32: bugged", "shift4: optimal",
+    "shift4: bugged",
+    "app2_1: original", "app2_3: original", "app2_4: original", "app2_5: original",
+    "app2_6: original", "app2_8: original", "app2_8: reduced", "app2_9: original",
+    "app2_11: original", "app2_12: original",
+}
+PERES_UNEXPLAINED = {
+    "4_49: bugged", "4bit-7-8: bugged", "decode42: bugged",
+    "hwb4: insertion", "oc6: insertion", "oc8: insertion",
+}
+
+
+def _printed_figures():
+    # every circuit with a printed (gates, cost), named as a discrepancy
+    # line names it: optimal and bugged in suite 1, original and reduced
+    # in suite 2
+    figures = {}
+    for row in TABLE1_ROWS:
+        host = load_corpus_circuit(row.host_id)
+        bugged = insert_segment(host, load_corpus_circuit(row.segment_id), host.insertion_point)
+        figures[f"{row.benchmark}: optimal"] = host, row.printed_optimal
+        figures[f"{row.benchmark}: bugged"] = bugged, row.printed_bugged
+    for row in TABLE2_ROWS:
+        c = load_corpus_circuit(row.circuit_id)
+        figures[f"{row.circuit_id}: original"] = c, row.printed_original
+        figures[f"{row.circuit_id}: reduced"] = eliminate_ntris(c)[0], row.printed_hybrid
+    return figures
+
+
+class TestPeresRule:
+    def test_names_the_discrepancy_lines_it_explains(self, capsys):
+        assert main(["bench", "all"]) == 0
+        notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  ")]
+        names = {" ".join(line.split()[:2]) for line in notes}
+        assert len(notes) == len(names) == 27
+        figures = _printed_figures()
+        explained = {n for n in names if n in figures
+                     and (len(figures[n][0]), peres_cost(figures[n][0])) == figures[n][1]}
+        assert explained == PERES_EXPLAINED
+        assert names - explained == PERES_UNEXPLAINED
+
+    def test_matches_36_of_the_39_printed_input_figures(self):
+        # inputs: optimal, bugged and original; each figure the default
+        # table matches, the rule matches too
+        inputs = [(c, printed) for name, (c, printed) in _printed_figures().items()
+                  if not name.endswith("reduced")]
+        today = {i for i, (c, printed) in enumerate(inputs) if (len(c), circuit_cost(c)) == printed}
+        rule = {i for i, (c, printed) in enumerate(inputs) if (len(c), peres_cost(c)) == printed}
+        assert (len(inputs), len(today), len(rule)) == (39, 16, 36)
+        assert today <= rule

@@ -542,13 +542,12 @@ class TestJsonWriter:
         assert out.getvalue() == json.dumps(value, indent=2)
         assert len(writes) == 3
 
-    def test_long_report_is_written_in_bounded_memory(self):
-        # 100,000 removals: the writer holds at most about 4,096 parts at
-        # a time, and most of what stays is the field dict that each
-        # Removal is read through, about 64 bytes
+    @pytest.fixture(scope="class")
+    def long_write(self):
+        # _json of a 100,000-removal report into a sink that keeps nothing:
+        # the report's removal count and the traced (current, peak) bytes
         pairs = Circuit._of(1, (mct((), 0),) * 200_000)
         _, report = remove_trivial_identities(pairs)
-        assert len(report.removals) == 100_000
 
         class Discard:
             def write(self, text):
@@ -557,10 +556,22 @@ class TestJsonWriter:
         tracemalloc.start()
         try:
             _json(report, Discard())
-            peak = tracemalloc.get_traced_memory()[1]
+            return len(report.removals), tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 100 * len(report.removals)
+
+    def test_long_report_is_written_in_bounded_memory(self, long_write):
+        # the writer holds at most about 4,096 parts at a time
+        n, (_, peak) = long_write
+        assert n == 100_000
+        assert peak < 100 * n
+
+    def test_written_removals_keep_no_field_dict(self, long_write):
+        # a Removal read through vars() keeps the attribute dict that the
+        # read materialises, about 64 bytes each, after the write returns
+        n, (held, _) = long_write
+        assert n == 100_000
+        assert held < 10 * n
 
     @pytest.mark.parametrize("value", [1.5, {1, 2}, {1: "a"}, [{"a": 0.0}]],
                              ids=["float", "set", "int-key", "nested-float"])

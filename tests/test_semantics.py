@@ -41,7 +41,7 @@ from revident import (
 )
 
 from revident import semantics
-from revident.semantics import _columns, _identity_columns, _masks, _run, _slice, _spec_text, _start, _table
+from revident.semantics import _columns, _identity_columns, _masks, _run, _spec_text, _start, _table
 
 from helpers import all_gates, circuits, prefix_trace, random_circuit, simulate_bruteforce, table_reference
 
@@ -96,7 +96,7 @@ def test_simulate_matches_bruteforce_oracle():
 
 def _uncapped_columns(c):
     # _columns without the width cap, for the boundaries at width 17: the
-    # third byte plane and the sixth digit, which synthesize_inverse reaches
+    # third byte plane and the sixth digit
     return _run(list(_start(c.width).identity), c.gates)
 
 
@@ -145,13 +145,11 @@ def _boundary_cases(width):
 def test_boundaries_match_column_at_a_time_reference(width):
     # At widths 1 and 2 a column is shorter than one byte and its lane is
     # padded, width 3 fills one byte exactly, and planes meet at 8 and 16.
-    # _slice, the inverse, must give the columns back.
     for cols in _boundary_cases(width):
         spec = table_reference(cols)
         assert _table(cols) == spec
         assert "[" + _spec_text(cols) + "]" == format_spec(spec)
         assert _spec_text(cols, ",\n    ") == ",\n    ".join(map(str, spec))
-        assert _slice(spec) == cols
 
 
 def test_spec_text_peak_memory_at_width_16():
