@@ -32,9 +32,12 @@ each distinct gate is one object.  The run's new distinct pieces are
 checked and built together, by string, ``map`` and ``bytes.translate``
 passes in C.  A valid parse makes no second regex pass.  Only when the
 run fails is it scanned again, its tokens checked up to the first problem.
-``format_circuit`` renders each distinct gate object once, found by
-identity in a dict built in C, so gate equality and hashing are never
-called; the tokens are then mapped per gate.  ``Circuit(...)`` checks
+``format_circuit`` finds the distinct gate objects by identity, in a
+dict built in C, so gate equality and hashing are never called, and
+renders them together: their wires go into one byte string, one
+``bytes.translate`` turns it into letters, and one ``%`` fills the
+joined templates of their wire counts.  The tokens are then mapped per
+gate.  ``Circuit(...)`` checks
 each distinct gate once; the parser, the edit operations and the
 reducers skip that check, as their gates already fit the width.
 """
@@ -43,9 +46,10 @@ from __future__ import annotations
 
 import re
 from collections import deque
+from collections.abc import Collection
 from dataclasses import dataclass, field
-from itertools import count, filterfalse, repeat
-from operator import itemgetter
+from itertools import chain, count, filterfalse, repeat
+from operator import attrgetter, itemgetter
 
 __all__ = [
     "Gate",
@@ -323,7 +327,12 @@ def parse_circuit(text: str) -> Circuit:
 
 # formatting ---------------------------------------------------------------
 
-_NOT_WIRES = str.maketrans("", "", "NOTCFM4(),; ")  # what a token holds besides wires
+_LETTERS = bytes.maketrans(bytes(range(26)), b"abcdefghijklmnopqrstuvwxyz")
+# The token of each wire count, filled by ``%`` with its wire letters:
+# the sorted controls, then the target.
+_TEMPLATES = (None, *(f"{name}({', '.join(['%s'] * k)})" for k, name in enumerate(_NAMES, 1)),
+              *(f"MCT({'%s, ' * (k - 2)}%s; %s)" for k in range(5, 27)))
+_CONTROLS, _TARGET = attrgetter("controls"), attrgetter("target")
 
 
 def _wire_names(width: int) -> str:
@@ -332,36 +341,38 @@ def _wire_names(width: int) -> str:
     return "abcdefghijklmnopqrstuvwxyz"[:max(width, 0)]
 
 
-def _token(wires: list[int], names: str) -> str:
-    """Render a gate from its sorted controls followed by its target."""
-    args = ", ".join(map(names.__getitem__, wires))
-    if len(wires) <= 4:
-        return f"{_NAMES[len(wires) - 1]}({args})"
-    # wire names are single letters, so the target is the last character
-    return f"MCT({args[:-3]}; {args[-1]})"
+def _render(gates: "Collection[Gate]") -> tuple[list[str], str]:
+    """The tokens of ``gates`` and the letters of their wires, each gate's
+    sorted controls then its target.  One ``bytes.translate`` turns every
+    wire into its letter and one ``%`` fills the joined templates."""
+    wires = [*map(sorted, map(_CONTROLS, gates))]
+    deque(map(list.append, wires, map(_TARGET, gates)), 0)
+    letters = bytes(chain.from_iterable(wires)).translate(_LETTERS).decode()
+    text = "\n".join(map(_TEMPLATES.__getitem__, map(len, wires))) % tuple(letters)
+    return text.split("\n"), letters
 
 
 def format_gate(g: Gate, width: int) -> str:
     """Render one gate token; controls are printed in wire order.  A gate
     that ``Circuit(width, (g,))`` would refuse raises its ``ValueError``."""
     Circuit(width, (g,))
-    return _token([*sorted(g.controls), g.target], _wire_names(width))
+    _wire_names(width)
+    return _render((g,))[0][0]
 
 
 def format_circuit(c: Circuit) -> str:
     """Render a circuit so that ``parse_circuit(format_circuit(c)) == c``.
 
     A ``wires:`` header is emitted only when the gate tokens alone would
-    not reproduce the width and wire order on re-parse.  One pass over
-    the distinct gate objects, found by identity, renders each; the
-    tokens are then looked up per gate, and the wire order is read from
-    the letters of the rendered tokens.
+    not reproduce the width and wire order on re-parse.  The distinct
+    gate objects, found by identity, are rendered together by
+    ``_render``; the tokens are then looked up per gate, and the wire
+    order is read from the letters of the distinct gates' wires.
     """
     names = _wire_names(c.width)
     distinct = dict(zip(map(id, c.gates), c.gates))
-    rendered = dict(zip(distinct, [_token([*sorted(g.controls), g.target], names)
-                                   for g in distinct.values()]))
-    tokens = list(map(rendered.__getitem__, map(id, c.gates)))
+    rendered, letters = _render(distinct.values())
+    tokens = [*map(dict(zip(distinct, rendered)).__getitem__, map(id, c.gates))]
     # (gap, rank, mark): at one gap a closing ] comes first, then #, then [
     # and an empty bracket's ].  Inserting from the back keeps gaps valid.
     marks = []
@@ -373,9 +384,10 @@ def format_circuit(c: Circuit) -> str:
     for gap, _, mark in sorted(marks, reverse=True):
         tokens.insert(gap, mark)
     body = " ".join(tokens)
-    # the wire letters in order of first appearance
-    seen = "".join(dict.fromkeys("".join(rendered.values()).translate(_NOT_WIRES)))
-    if seen == names or (c.width == 1 and not seen):
+    # the wires appear in their natural order when every letter appears
+    # and each first appears after the one before it
+    firsts = [*map(letters.find, names)]
+    if (-1 not in firsts and firsts == sorted(firsts)) or (c.width == 1 and not letters):
         return body
     header = f"wires: {' '.join(names)}"
     return f"{header}\n{body}" if body else header

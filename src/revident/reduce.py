@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
+from operator import attrgetter
 
 from .circuit import Circuit, Gate, _assemble
 from .cost import DEFAULT_COST_TABLE, _sum_costs
@@ -124,10 +125,12 @@ class ReductionReport:
     """What a reduction did.  ``passes`` counts the passes of the paper's
     restarting scan, including the final one that found nothing: one more
     than the number of removals.  Cost fields are None when the cost
-    table has no entry for some gate.  Specification fields are None when
-    the width exceeds the cap in ``remove_trivial_identities``, which
-    needs no table to reduce; ``eliminate_ntris`` raises
-    ``WidthCapExceeded`` there instead.
+    table has no entry for some gate.  The output is priced by one pass
+    over its gates and the input's cost derived from it: the output's
+    cost plus the removals' costs, or None when any of them is None.
+    Specification fields are None when the width exceeds the cap in
+    ``remove_trivial_identities``, which needs no table to reduce;
+    ``eliminate_ntris`` raises ``WidthCapExceeded`` there instead.
 
     The specifications are lazy: the report keeps the final bit-sliced
     columns and builds one table from them on the first read of either
@@ -218,6 +221,23 @@ def _json(value, out) -> None:
     out.write("".join(parts))
 
 
+_new, _set = object.__new__, object.__setattr__
+_COST = attrgetter("cost")
+
+
+def _removal(start_gap: int, gate_count: int, cost: int | None) -> Removal:
+    """A ``Removal`` of a span that is valid by construction, made without
+    ``__post_init__``'s checks.  Set field by field rather than by
+    ``circuit._assemble``'s ``vars`` update, which would give each removal
+    a dict of its own, about 136 bytes more each."""
+    r = _new(Removal)
+    _set(r, "start_gap", start_gap)
+    _set(r, "end_index", start_gap + gate_count)
+    _set(r, "gate_count", gate_count)
+    _set(r, "cost", cost)
+    return r
+
+
 def _maybe_cost(gates: "list[Gate] | tuple[Gate, ...]", table: Mapping[int, int]) -> int | None:
     try:
         return _sum_costs(gates, table)
@@ -234,19 +254,22 @@ def _report(
     table: Mapping[int, int],
     spec: "_FinalColumns | None",
 ) -> tuple[Circuit, ReductionReport]:
-    """The output and its report, assembled; ``bench`` takes a row's input (gates, cost) from it."""
+    """The output and its report, assembled; ``bench`` takes a row's input
+    (gates, cost) from it.  Every input gate is either kept or in exactly
+    one removed span, so the input costs the output's cost plus the
+    removals' costs, or None when any of them is None: the output is
+    priced and the input is not."""
     out = Circuit._of(c.width, tuple(out_gates))
-    # With every input gate in the table, each removal's cost is known.
-    input_cost = _maybe_cost(c.gates, table)
+    output_cost = _maybe_cost(out_gates, table)
+    costs = [*map(_COST, removals)]
     report = _assemble(
         ReductionReport,
         passes=passes,
         removals=tuple(removals),
         input_gates=len(c.gates),
         output_gates=len(out_gates),
-        input_cost=input_cost,
-        output_cost=(_maybe_cost(out_gates, table) if input_cost is None
-                     else input_cost - sum(r.cost for r in removals)),
+        input_cost=None if output_cost is None or None in costs else output_cost + sum(costs),
+        output_cost=output_cost,
         input_spec=spec,
         output_spec=spec,
         comparisons=comparisons,
@@ -274,9 +297,9 @@ def remove_trivial_identities(
         if stack:
             comparisons += 1
         if stack and stack[-1] == g:
-            j = len(stack) - 1
-            removals.append(Removal(j, j + 2, 2, _maybe_cost([g, g], table)))
             stack.pop()
+            cost = table.get(len(g.controls))
+            removals.append(_removal(len(stack), 2, None if cost is None else 2 * cost))
         else:
             stack.append(g)
     try:
@@ -303,7 +326,7 @@ def eliminate_ntris(
     read."""
     cols = _identity_columns(c.width)
     kept: list[Gate] = []
-    removals = [Removal(j, j + len(span), len(span), _maybe_cost(span, table))
+    removals = [_removal(j, len(span), _maybe_cost(span, table))
                 for j, span in _cuts(cols, c.gates, kept)]
     spec = _FinalColumns(cols)
     return _report(c, kept, len(removals) + 1, removals, len(c.gates), table, spec)

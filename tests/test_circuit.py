@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 import tracemalloc
 
@@ -13,12 +14,14 @@ from revident import circuit
 from revident import (
     Circuit,
     Gate,
+    GeneratorConfig,
     ParseError,
     WidthMismatchError,
     concat,
     eliminate_ntris,
     format_circuit,
     format_gate,
+    gen_random_circuit,
     insert_segment,
     inverse,
     mct,
@@ -26,7 +29,7 @@ from revident import (
     remove_trivial_identities,
 )
 
-from helpers import circuits, format_reference, parse_reference
+from helpers import _format_gate_reference, all_gates, circuits, format_reference, parse_reference
 
 # Fragments of circuit text, valid and not, that token soup is drawn from;
 # whole gate tokens with a random argument list make repeats and valid gates
@@ -376,6 +379,19 @@ class TestFormat:
         assert format_gate(mct({0, 1, 3}, 2), 4) == "TOF4(a, b, d, c)"
         assert format_gate(mct({0, 1, 2, 3}, 4), 5) == "MCT(a, b, c, d; e)"
 
+    def test_gate_tokens_match_reference(self):
+        # every gate at widths 1-8, and 300 drawn gates of every control
+        # count at each width 9-26: each template and every letter
+        rng = random.Random(26)
+        for w in range(1, 27):
+            if w <= 8:
+                gates = list(all_gates(w, w - 1))
+            else:
+                drawn = (rng.sample(range(w), rng.randint(1, w)) for _ in range(300))
+                gates = [mct(wires[:-1], wires[-1]) for wires in drawn]
+            for g in gates:
+                assert format_gate(g, w) == _format_gate_reference(g, w)
+
     def test_gate_outside_width_is_refused(self):
         # Circuit's errors, not an IndexError from the wire names
         with pytest.raises(ValueError, match="outside width 2"):
@@ -403,6 +419,34 @@ class TestFormat:
         assert again == c
         assert again.insertion_point == c.insertion_point
         assert again.bracket == c.bracket
+
+    def test_peak_memory_per_gate(self):
+        # the tokens, the text and one id in flight per gate, about 37 bytes
+        # each over the few thousand distinct gates that a draw makes
+        c = gen_random_circuit(GeneratorConfig(width=10, gates=200_000, seed=5))
+        assert len({id(g) for g in c.gates}) < 10_000
+        tracemalloc.start()
+        try:
+            text = format_circuit(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.count("(") == len(c)
+        assert peak < 64 * len(c)
+
+    def test_peak_memory_per_distinct_gate(self):
+        # each gate a separate object: its wire list, letters and token,
+        # about 270 bytes each
+        drawn = gen_random_circuit(GeneratorConfig(width=12, gates=200_000, seed=5))
+        c = Circuit._of(12, tuple(mct(g.controls, g.target) for g in drawn.gates))
+        tracemalloc.start()
+        try:
+            text = format_circuit(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.count("(") == len(c)
+        assert peak < 320 * len(c)
 
     def test_too_wide_for_letters(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,10 @@ import pickle
 
 import pytest
 
-from revident import Circuit, Gate, GeneratorConfig, ReductionReport, Removal, eliminate_ntris
+from revident import (
+    Circuit, Gate, GeneratorConfig, ReductionReport, Removal, eliminate_ntris,
+    remove_trivial_identities,
+)
 from revident.bench import (
     BenchReport,
     Table1Result,
@@ -137,18 +140,21 @@ def test_asdict_shapes():
         "controls": frozenset({0, 2}), "target": 1}
 
 
-# Values the package assembles by one ``vars`` update instead of ``__init__``,
-# each made where the package makes it.
+# Values the package makes without ``__init__``, by one ``vars`` update or,
+# for removals, field by field, each made where the package makes it.
 _GATES = (Gate(frozenset({0, 2}), 1), Gate(frozenset(), 0), Gate(frozenset(), 0))
 ASSEMBLED = [
     lambda: Circuit._of(3, _GATES, 1, (0, 2)),
     lambda: eliminate_ntris(Circuit(3, _GATES))[1],
+    lambda: eliminate_ntris(Circuit(3, _GATES))[1].removals[0],
+    lambda: remove_trivial_identities(Circuit(3, _GATES))[1].removals[0],
     lambda: run_table1().rows[0],
     lambda: run_table2().rows[0],
 ]
 
 
-@pytest.mark.parametrize("make", ASSEMBLED, ids=["Circuit", "ReductionReport", "Table1Result",
+@pytest.mark.parametrize("make", ASSEMBLED, ids=["Circuit", "ReductionReport", "Removal-ntris",
+                                                 "Removal-trivial", "Table1Result",
                                                  "Table2Result"])
 def test_assembled_values_equal_constructed_ones(make):
     assembled = make()

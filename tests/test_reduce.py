@@ -423,9 +423,9 @@ class TestReport:
             assert r == lazy and r.output_spec is r.input_spec == simulate(c)
         assert calls == [3, 3, 3]
 
-    # the output cost is the input cost less the removals' costs; it
-    # must equal a second cost pass over the output, with and without
-    # entries for every gate
+    # the output is priced once and the input cost derived from it, plus
+    # the removals' costs; both must equal a cost pass over their gates,
+    # with and without entries for every gate
     @given(circuits(max_width=6, max_gates=14, max_controls=4), st.integers(0, 14),
            st.sampled_from([DEFAULT_COST_TABLE, {0: 1, 1: 3, 2: 7}]),
            st.sampled_from([eliminate_ntris, remove_trivial_identities]))
@@ -435,6 +435,7 @@ class TestReport:
         c = Circuit(c.width, c.gates + c.gates[::-1][:k])
         out, report = reduce(c, table)
         assert report.output_cost == _maybe_cost(out.gates, table)
+        assert report.input_cost == _maybe_cost(c.gates, table)
 
     # the report bytes against the json module's encoder, for both
     # reducers, with specifications None (the trivial pass at widths 17-26,
