@@ -37,9 +37,9 @@ dict built in C, so gate equality and hashing are never called, and
 renders them together: their wires go into one byte string, one
 ``bytes.translate`` turns it into letters, and one ``%`` fills the
 joined templates of their wire counts.  The tokens are then mapped per
-gate.  ``Circuit(...)`` checks
-each distinct gate once; the parser, the edit operations and the
-reducers skip that check, as their gates already fit the width.
+gate.  ``Circuit(...)`` checks each distinct gate once; the parser, the
+edit operations and the reducers skip that check, as their gates
+already fit the width.
 """
 
 from __future__ import annotations
@@ -341,7 +341,7 @@ def _wire_names(width: int) -> str:
     return "abcdefghijklmnopqrstuvwxyz"[:max(width, 0)]
 
 
-def _render(gates: "Collection[Gate]") -> tuple[list[str], str]:
+def _render(gates: Collection[Gate]) -> tuple[list[str], str]:
     """The tokens of ``gates`` and the letters of their wires, each gate's
     sorted controls then its target.  One ``bytes.translate`` turns every
     wire into its letter and one ``%`` fills the joined templates."""
@@ -356,7 +356,7 @@ def format_gate(g: Gate, width: int) -> str:
     """Render one gate token; controls are printed in wire order.  A gate
     that ``Circuit(width, (g,))`` would refuse raises its ``ValueError``."""
     Circuit(width, (g,))
-    _wire_names(width)
+    _wire_names(width)  # refuses a width past 26 letters
     return _render((g,))[0][0]
 
 

@@ -380,8 +380,8 @@ class TestFormat:
         assert format_gate(mct({0, 1, 2, 3}, 4), 5) == "MCT(a, b, c, d; e)"
 
     def test_gate_tokens_match_reference(self):
-        # every gate at widths 1-8, and 300 drawn gates of every control
-        # count at each width 9-26: each template and every letter
+        # every gate at widths 1-8, and at each width 9-26 300 gates of
+        # drawn control counts: each template and every letter
         rng = random.Random(26)
         for w in range(1, 27):
             if w <= 8:
